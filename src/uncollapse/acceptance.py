@@ -50,7 +50,8 @@ from .measurement import (
     random_pure_state,
     success_probability_bound,
 )
-from .multiqubit import build_plan, execute_plan, stepwise_probabilities
+from .multiqubit import build_plan, stepwise_probabilities
+from .multiqubit import protocol_ensemble as multiqubit_ensemble
 from .multiqubit import success_probability as multiqubit_success_probability
 from .phase import (
     PhaseMeasurementParams,
@@ -436,23 +437,12 @@ def criterion_8(seed: int, scale: float, workers: int) -> CriterionResult:
                 f"N={n_qubits} product-vs-sum", abs(float(np.prod(trace_form)) - ref), 1e-12
             )
         )
-        hits = 0
-        worst_restore = None
-        gen = NoiseStream(_derive(seed, 8, n_qubits), 0).generator()
-        for _ in range(n_runs):
-            out = execute_plan(plan, psi_t, gen)
-            if out.success:
-                hits += 1
-                if worst_restore is None:
-                    worst_restore = max_abs(
-                        np.outer(out.restored, out.restored.conj())
-                        - np.outer(psi_in, psi_in.conj())
-                    )
-        res.rows.append(_interval_row(f"N={n_qubits} success rate", hits, n_runs, ref))
+        ens = multiqubit_ensemble(plan, psi_t, n_runs, NoiseStream(_derive(seed, 8, n_qubits), 0))
+        res.rows.append(_interval_row(f"N={n_qubits} success rate", ens.successes, n_runs, ref))
         res.rows.append(
             _tolerance_row(
                 f"N={n_qubits} restored error",
-                worst_restore if worst_restore is not None else math.inf,
+                max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(psi_in, psi_in.conj())),
                 1e-9,
             )
         )

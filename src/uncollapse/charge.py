@@ -62,20 +62,6 @@ class DetectorParams:
         return 2.0 * self.s_i / self.delta_i**2
 
 
-@dataclass(frozen=True)
-class QndResult:
-    """A realized readout: dimensionless result r over duration t."""
-
-    r: float
-    duration: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise ValueError("result must be finite")
-        if self.duration < 0.0:
-            raise ValueError("duration must be nonnegative")
-
-
 def gaussian_likelihood(state_index: int, i_bar: float, duration: float, params: DetectorParams):
     """Density of the time-averaged current given the qubit basis state.
 

@@ -39,6 +39,7 @@ from .charge import (
     waiting_time_pdf,
 )
 from .evolving import plan_from_kraus, plan_success_probability, success_bound, plan_execution_ensemble
+from .linalg import max_abs
 from .measurement import (
     ImpossibleOutcomeError,
     KrausOperator,
@@ -46,7 +47,8 @@ from .measurement import (
     UncollapseImpossibleError,
     polar_decompose,
 )
-from .multiqubit import build_plan, execute_plan, stepwise_probabilities
+from .multiqubit import build_plan, stepwise_probabilities
+from .multiqubit import protocol_ensemble as multiqubit_ensemble
 from .multiqubit import success_probability as multiqubit_success_probability
 from .phase import PhaseMeasurementParams, protocol_ensemble
 from .phase import joint_success as phase_joint_success
@@ -174,6 +176,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         cfg.trajectory_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.kind == "multiqubit":
+        _check_multiqubit(cfg)
     return cfg
 
 
@@ -311,9 +315,19 @@ def run_phase(cfg: ExperimentConfig) -> list[Row]:
     return rows
 
 
-def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
+def _check_multiqubit(cfg: ExperimentConfig) -> None:
+    if isinstance(cfg.gamma, bool) or not isinstance(cfg.gamma, (int, float)):
+        raise ConfigError("gamma must be a number")
+    if not (math.isfinite(cfg.gamma) and cfg.gamma > 0.0):
+        raise ConfigError("gamma must be finite and positive")
+    if isinstance(cfg.n_qubits, bool) or not isinstance(cfg.n_qubits, int):
+        raise ConfigError("n_qubits must be an integer")
     if not 1 <= cfg.n_qubits <= 6:
         raise ConfigError("n_qubits must be between 1 and 6")
+
+
+def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
+    _check_multiqubit(cfg)
     dim = 2**cfg.n_qubits
     rng = NoiseStream(cfg.seed, 0).generator()
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -329,14 +343,17 @@ def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
     psi_t = polar_decompose(op).unitary.conj().T @ psi_m
     ref = multiqubit_success_probability(plan, psi_t)
     trace_form, normalized_form = stepwise_probabilities(plan, psi_t)
-    gen = NoiseStream(_derive_seed(cfg.seed, 2), 0).generator()
-    hits = 0
-    for _ in range(cfg.trajectories):
-        hits += execute_plan(plan, psi_t, gen).success
-    rows = [_mc_row("success_rate", hits, cfg.trajectories, ref)]
+    ens = multiqubit_ensemble(
+        plan, psi_t, cfg.trajectories, NoiseStream(_derive_seed(cfg.seed, 2), 0)
+    )
+    rows = [_mc_row("success_rate", ens.successes, ens.n, ref)]
     agreement = float(np.max(np.abs(trace_form - normalized_form)))
     rows.append(
         Row(label="stepwise_agreement", value=agreement, reference=1e-12, within=agreement <= 1e-12)
+    )
+    restore = max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(psi_in, psi_in.conj()))
+    rows.append(
+        Row(label="restoration_error", value=restore, reference=1e-9, within=restore <= 1e-9)
     )
     return rows
 

@@ -17,13 +17,12 @@ import numpy as np
 
 from .linalg import basis_to_all_ones, herm_eig, max_abs
 from .measurement import (
+    PROJECTIVE_THRESHOLD,
     KrausOperator,
     QuantumState,
     UncollapseImpossibleError,
 )
 from .trajectory import _as_generator
-
-PROJECTIVE_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,46 @@ class MultiqubitExecution:
     failed_step: int | None
 
 
+def _entering_state(plan: StepPlan, state) -> np.ndarray:
+    """Working copy of the input: a unit vector or a density matrix."""
+    if isinstance(state, QuantumState):
+        cur = state.rho.copy()
+    else:
+        cur = np.asarray(state, dtype=complex).reshape(-1).copy()
+        cur /= np.linalg.norm(cur)
+    if cur.shape[0] != plan.dim:
+        raise ValueError("state dimension does not match the plan")
+    return cur
+
+
+def _null_step(plan: StepPlan, i: int, cur: np.ndarray) -> tuple[float, np.ndarray]:
+    """Step i on the null branch: its tunneling probability and the state after no tunneling.
+
+    Rotates eigenvector i onto the all-ones axis, shrinks that axis,
+    renormalizes and rotates back.
+    """
+    u = plan.unitaries[i]
+    keep = plan.shrink_factors[i] ** 2
+    if cur.ndim == 1:
+        y = u @ cur
+        p_tunnel = (1.0 - keep) * abs(y[-1]) ** 2
+        y[-1] *= plan.shrink_factors[i]
+        y /= np.linalg.norm(y)
+        return p_tunnel, u.conj().T @ y
+    y = u @ cur @ u.conj().T
+    p_tunnel = (1.0 - keep) * float(y[-1, -1].real)
+    y[-1, :] *= plan.shrink_factors[i]
+    y[:, -1] *= plan.shrink_factors[i]
+    y /= np.trace(y).real
+    return p_tunnel, u.conj().T @ y @ u
+
+
+def _restored(cur: np.ndarray) -> QuantumState | np.ndarray:
+    if cur.ndim == 1:
+        return cur
+    return QuantumState(rho=0.5 * (cur + cur.conj().T))
+
+
 def execute_plan(plan: StepPlan, state, stream) -> MultiqubitExecution:
     """Run the 2^N rotate-measure-rotate steps on a state.
 
@@ -184,39 +223,55 @@ def execute_plan(plan: StepPlan, state, stream) -> MultiqubitExecution:
     entangled) state vector.
     """
     gen = _as_generator(stream)
-    dim = plan.dim
-    vector_input = not isinstance(state, QuantumState)
-    if vector_input:
-        cur = np.asarray(state, dtype=complex).reshape(-1).copy()
-        cur /= np.linalg.norm(cur)
-    else:
-        cur = state.rho.copy()
-    if cur.shape[0] != dim:
-        raise ValueError("state dimension does not match the plan")
+    cur = _entering_state(plan, state)
+    for i in range(plan.dim):
+        p_tunnel, after = _null_step(plan, i, cur)
+        if gen.random() < p_tunnel:
+            return MultiqubitExecution(success=False, restored=None, failed_step=i)
+        cur = after
+    return MultiqubitExecution(success=True, restored=_restored(cur), failed_step=None)
 
-    for i in range(dim):
-        u = plan.unitaries[i]
-        keep = plan.shrink_factors[i] ** 2
-        if vector_input:
-            y = u @ cur
-            p_tunnel = (1.0 - keep) * abs(y[-1]) ** 2
-            if gen.random() < p_tunnel:
-                return MultiqubitExecution(success=False, restored=None, failed_step=i)
-            y[-1] *= plan.shrink_factors[i]
-            y /= np.linalg.norm(y)
-            cur = u.conj().T @ y
-        else:
-            y = u @ cur @ u.conj().T
-            p_tunnel = (1.0 - keep) * float(y[-1, -1].real)
-            if gen.random() < p_tunnel:
-                return MultiqubitExecution(success=False, restored=None, failed_step=i)
-            y[-1, :] *= plan.shrink_factors[i]
-            y[:, -1] *= plan.shrink_factors[i]
-            y /= np.trace(y).real
-            cur = u.conj().T @ y @ u
-    if vector_input:
-        return MultiqubitExecution(success=True, restored=cur, failed_step=None)
-    cur = 0.5 * (cur + cur.conj().T)
-    return MultiqubitExecution(
-        success=True, restored=QuantumState(rho=cur), failed_step=None
+
+@dataclass(frozen=True)
+class MultiqubitEnsemble:
+    """Counters of n independent runs of a plan on the same input.
+
+    ``failures[i]`` runs tunneled at step i, ``null_probabilities[i]`` is
+    the chance that step i stays silent given that the earlier ones did,
+    and ``restored`` is the state every all-null run ends in.
+    """
+
+    n: int
+    successes: int
+    failures: np.ndarray
+    null_probabilities: np.ndarray
+    restored: QuantumState | np.ndarray
+
+
+def protocol_ensemble(plan: StepPlan, state, n: int, stream) -> MultiqubitEnsemble:
+    """Many runs of ``execute_plan`` from the same input, drawn in closed form.
+
+    After the nulls seen so far the register state is the same in every
+    run, so walking the null branch once gives each step's tunneling
+    probability and the restored state.  A run is then one categorical
+    draw over "tunnels at step i" and "all steps null", made for all runs
+    at once with one uniform each.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    cur = _entering_state(plan, state)
+    p_tunnel = np.empty(plan.dim)
+    for i in range(plan.dim):
+        p_tunnel[i], cur = _null_step(plan, i, cur)
+    null = 1.0 - p_tunnel
+    reached = np.concatenate([[1.0], np.cumprod(null)[:-1]])
+    edges = np.cumsum(reached * p_tunnel)
+    outcome = np.searchsorted(edges, _as_generator(stream).random(n), side="right")
+    counts = np.bincount(outcome, minlength=plan.dim + 1)
+    return MultiqubitEnsemble(
+        n=n,
+        successes=int(counts[-1]),
+        failures=counts[:-1],
+        null_probabilities=null,
+        restored=_restored(cur),
     )

@@ -211,3 +211,45 @@ def test_explicit_state_matrix(tmp_path):
     bad = dict(cfg, state={"rho": [[2.0, 0.0], [0.0, -1.0]]})
     path.write_text(json.dumps(bad))
     assert run_cli(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+
+
+def test_run_multiqubit_rows_and_determinism(tmp_path):
+    cfg = {"kind": "multiqubit", "seed": 4, "trajectories": 20_000, "n_qubits": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for label, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = str(tmp_path / label)
+        assert run_cli(["run", "--config", str(path), "--workers", workers, "--out", out]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["passed"] is True
+    rows = {row["label"]: row for row in summary["rows"]}
+    assert sorted(rows) == ["restoration_error", "stepwise_agreement", "success_rate"]
+    assert rows["restoration_error"]["value"] <= 1e-9
+    assert rows["restoration_error"]["reference"] == 1e-9
+    assert rows["success_rate"]["ci_low"] <= rows["success_rate"]["reference"] <= rows["success_rate"]["ci_high"]
+    first = (tmp_path / "a" / "results.csv").read_bytes()
+    assert first == (tmp_path / "b" / "results.csv").read_bytes()
+    assert first == (tmp_path / "c" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gamma", -1), ("gamma", 0), ("gamma", "fast"), ("n_qubits", 2.5), ("n_qubits", True), ("n_qubits", 7)],
+)
+def test_multiqubit_bad_config_exits_2(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "multiqubit", "trajectories": 100, field: value}))
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and field in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_multiqubit_bad_sweep_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "kind": "multiqubit", "trajectories": 100,
+        "sweep_parameter": "gamma", "sweep_values": [1.0, -1.0],
+    }))
+    assert run_cli(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"

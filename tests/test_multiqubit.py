@@ -202,3 +202,110 @@ def test_plan_validation():
         mq.build_plan(qm.KrausOperator(np.diag([1.0, 0.5])), gamma=0.0)
     with pytest.raises(ValueError):
         mq.null_step_kraus(-1.0, 1.0, 4)
+
+
+def _measured(op, state):
+    """Input to the plan: the state after M, with M's unitary part undone."""
+    u_m = qm.polar_decompose(op).unitary
+    if isinstance(state, qm.QuantumState):
+        rho = op.matrix @ state.rho @ op.matrix.conj().T
+        return qm.QuantumState(rho=u_m.conj().T @ (rho / np.trace(rho).real) @ u_m)
+    psi = u_m.conj().T @ op.matrix @ state
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("density", [False, True])
+def test_protocol_ensemble_matches_closed_forms(rng, density):
+    op = random_invertible_kraus(rng, 8)
+    plan = mq.build_plan(op, gamma=1.0)
+    if density:
+        state = qm.random_density_matrix(8, rng)
+    else:
+        state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        state /= np.linalg.norm(state)
+    entering = _measured(op, state)
+    n = 200_000
+    ens = mq.protocol_ensemble(plan, entering, n, tj.NoiseStream(21, 0))
+    assert ens.n == n
+    assert ens.successes + int(ens.failures.sum()) == n
+    assert stats.bernoulli_estimate(ens.successes, n).contains(mq.success_probability(plan, entering))
+
+    trace_form, normalized_form = mq.stepwise_probabilities(plan, entering)
+    assert max_abs(ens.null_probabilities - trace_form) <= 1e-12
+    assert max_abs(ens.null_probabilities - normalized_form) <= 1e-12
+    reached = np.concatenate([[1.0], np.cumprod(normalized_form)[:-1]])
+    for count, p_fail in zip(ens.failures, reached * (1.0 - normalized_form)):
+        assert stats.bernoulli_estimate(int(count), n).contains(p_fail)
+
+    if density:
+        assert max_abs(ens.restored.rho - state.rho) <= 1e-9
+    else:
+        assert max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(state, state.conj())) <= 1e-9
+
+
+def test_protocol_ensemble_seeded_and_validated(rng):
+    op = random_invertible_kraus(rng, 4)
+    plan = mq.build_plan(op, gamma=1.0)
+    psi = _measured(op, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    first = mq.protocol_ensemble(plan, psi, 5000, tj.NoiseStream(3, 0))
+    again = mq.protocol_ensemble(plan, psi, 5000, tj.NoiseStream(3, 0))
+    assert first.successes == again.successes
+    assert np.array_equal(first.failures, again.failures)
+    assert np.array_equal(first.restored, again.restored)
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            mq.protocol_ensemble(plan, psi, n, tj.NoiseStream(3, 0))
+
+
+def _reference_execute(plan, state, gen):
+    """Step loop with the tunneling draw inline, as execute_plan ran before the shared step."""
+    vector_input = not isinstance(state, qm.QuantumState)
+    if vector_input:
+        cur = np.asarray(state, dtype=complex).reshape(-1).copy()
+        cur /= np.linalg.norm(cur)
+    else:
+        cur = state.rho.copy()
+    for i in range(plan.dim):
+        u = plan.unitaries[i]
+        keep = plan.shrink_factors[i] ** 2
+        if vector_input:
+            y = u @ cur
+            p_tunnel = (1.0 - keep) * abs(y[-1]) ** 2
+            if gen.random() < p_tunnel:
+                return False, i, None
+            y[-1] *= plan.shrink_factors[i]
+            y /= np.linalg.norm(y)
+            cur = u.conj().T @ y
+        else:
+            y = u @ cur @ u.conj().T
+            p_tunnel = (1.0 - keep) * float(y[-1, -1].real)
+            if gen.random() < p_tunnel:
+                return False, i, None
+            y[-1, :] *= plan.shrink_factors[i]
+            y[:, -1] *= plan.shrink_factors[i]
+            y /= np.trace(y).real
+            cur = u.conj().T @ y @ u
+    return True, None, cur if vector_input else 0.5 * (cur + cur.conj().T)
+
+
+def test_execute_plan_bit_identical_to_reference_loop(rng):
+    for dim in (2, 4, 8):
+        op = random_invertible_kraus(rng, dim)
+        plan = mq.build_plan(op, gamma=1.0)
+        states = (
+            rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+            qm.random_density_matrix(dim, rng),
+        )
+        gen_a = tj.NoiseStream(dim, 0).generator()
+        gen_b = tj.NoiseStream(dim, 0).generator()
+        successes = 0
+        for _ in range(300):
+            for state in states:
+                out = mq.execute_plan(plan, state, gen_a)
+                success, failed_step, restored = _reference_execute(plan, state, gen_b)
+                assert (out.success, out.failed_step) == (success, failed_step)
+                if success:
+                    successes += 1
+                    got = out.restored.rho if isinstance(out.restored, qm.QuantumState) else out.restored
+                    assert got.tobytes() == restored.tobytes()
+        assert successes > 0
