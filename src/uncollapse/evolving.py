@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charge import crossing_probability
 from .linalg import max_abs, svd
 from .measurement import QuantumState, UncollapseImpossibleError
 from .trajectory import (
@@ -179,17 +180,12 @@ def execute_plan(
 
 
 def hit_probability(true_state: int, target_r: float) -> float:
-    """Chance that the readout of a definite bit ever reaches target_r.
+    """Chance that the readout of a definite bit ever reaches target_r from 0.
 
     Certain when the drift points at the target, exp(-2|target|) against
-    the drift.
+    the drift: the walk from 0 to target_r is the walk from -target_r to 0.
     """
-    if target_r == 0.0:
-        return 1.0
-    drift = 1.0 if true_state == 1 else -1.0
-    if drift * target_r > 0.0:
-        return 1.0
-    return math.exp(-2.0 * abs(target_r))
+    return crossing_probability(true_state, -target_r)
 
 
 def plan_success_probability(plan: UncollapsePlan, state_m) -> float:

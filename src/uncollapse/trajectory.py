@@ -14,24 +14,30 @@ uses exact Gaussian increments plus the exact Brownian-bridge crossing
 probability exp(-2 x_a x_b / dtau) inside each step, so first-passage
 *probabilities* carry no time-step bias at any dtau; only the recorded
 crossing times are quantized at the step scale.
+
+Reversal ensembles and ``targeted_measurement`` never walk a walker that
+drifts away from the boundary: its fate is drawn once against its
+crossing probability exp(-2|x0|), and the crossers walk with the drift
+reversed, which is their exact conditioned law (Doob's h-transform).
+Only ``run_first_passage_ensemble`` and ``simulate_qnd`` (hence the
+single-trajectory ``wait_and_stop``) walk the raw drift.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .charge import DetectorParams, qnd_posterior
+from .charge import DRIFT, DetectorParams, qnd_posterior
 from .linalg import u2_exp
 from .measurement import QuantumState
 
 BLOCK_SIZE = 16384
 _CHUNK = 4096  # single-trajectory draw granularity
-
-DRIFT = {1: 1.0, 2: -1.0}
 
 
 @dataclass(frozen=True)
@@ -68,17 +74,19 @@ def _as_generator(stream) -> np.random.Generator:
 class TrajectoryConfig:
     """Discretization and stopping rules for readout simulations.
 
-    ``escape_radius`` is an optional early-failure cutoff: a walker whose
-    readout has drifted that far from the boundary is declared failed;
-    the forfeited crossing probability is bounded by exp(-2 escape_radius)
-    per walker and reported, mirroring the declared-failure role of
-    ``tau_max`` at far lower cost.  ``tau_max`` defaults to
-    100 * (|r0| + 1) when not set.
+    ``escape_radius`` is an optional early-failure cutoff for walks that
+    follow the raw drift away from the boundary (``simulate_qnd`` and
+    ``run_first_passage_ensemble``): a walker whose readout has drifted
+    that far out is declared failed, and the forfeited crossing
+    probability, at most exp(-2 escape_radius) per walker, is reported.
+    Reversal ensembles and ``targeted_measurement`` draw the away-drift
+    fate exactly and walk only toward the boundary, so they forfeit
+    nothing to it; their only declared failure is ``tau_max``, which
+    defaults to 100 * (|r0| + 1) when not set.
     """
 
     d_tau: float = 1e-3
     tau_max: float | None = None
-    bridge_correction: bool = True
     epsilon: float = 0.0
     coupling: float = 0.0
     escape_radius: float | None = None
@@ -213,12 +221,9 @@ def _walk_single(x0: float, drift: float, config: TrajectoryConfig, gen: np.rand
         prev[1:] = xs[:-1]
 
         crossed = xs <= 0.0
-        if config.bridge_correction:
-            with np.errstate(over="ignore", under="ignore"):
-                p_bridge = np.exp(prev * xs * (-2.0 / dt))
-            hit = crossed | ((~crossed) & (uniforms < p_bridge))
-        else:
-            hit = crossed
+        with np.errstate(over="ignore", under="ignore"):
+            p_bridge = np.exp(prev * xs * (-2.0 / dt))
+        hit = crossed | ((~crossed) & (uniforms < p_bridge))
         hit_idx = int(np.argmax(hit)) if hit.any() else -1
         esc_idx = -1
         if radius is not None:
@@ -253,6 +258,22 @@ def _walk_single(x0: float, drift: float, config: TrajectoryConfig, gen: np.rand
     if keep_path:
         return status, crossing_tau, escaped, np.concatenate(paths), np.concatenate(incs)
     return status, crossing_tau, escaped, None, None
+
+
+def _crossers(gen: np.random.Generator, x0: float, drift: float, count: int) -> tuple[int, float]:
+    """How many of `count` walkers from x0 > 0 ever reach 0, and their drift.
+
+    Walkers drifting toward the boundary (drift < 0) all reach it and are
+    returned as given.  A walker drifting away (drift v > 0) reaches it
+    with probability exp(-2 v x0), drawn here once per walker.  Conditioned
+    on reaching it, Brownian motion with drift +v is Brownian motion with
+    drift -v (Doob's h-transform, h(x) = exp(-2 v x)), so the crossers walk
+    with the reversed drift and P(T < tau_max) = exp(-2 v x0) P_{-v}(T < tau_max).
+    """
+    if drift <= 0.0:
+        return count, drift
+    p_cross = math.exp(-2.0 * drift * x0)
+    return int(np.count_nonzero(gen.random(count) < p_cross)), -drift
 
 
 def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stream) -> TrajectoryRecord:
@@ -340,10 +361,9 @@ def _walk_group(gen: np.random.Generator, x0: float, drift: float, count: int,
         # drift term kept in float64; only the zero-mean noise is f32-quantized
         x_new = (x + drift * dt) + sqrt_dt * noise
         hit = x_new <= 0.0
-        if config.bridge_correction:
-            with np.errstate(over="ignore", under="ignore"):
-                p_bridge = np.exp(x * x_new * (-2.0 / dt))
-            hit |= (~hit) & (uniforms < p_bridge)
+        with np.errstate(over="ignore", under="ignore"):
+            p_bridge = np.exp(x * x_new * (-2.0 / dt))
+        hit |= (~hit) & (uniforms < p_bridge)
         n_hit = int(np.count_nonzero(hit))
         if n_hit:
             crossed += n_hit
@@ -383,7 +403,8 @@ def _first_passage_block(args):
 
 
 def _run_blocks(block_fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [block_fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(block_fn, args_list))
@@ -436,11 +457,16 @@ class WaitAndStopEnsemble:
     successes: int
     state1_count: int
     waiting_times: np.ndarray | None  # units of T_M; successes only
-    residual_success_bound: float
+    timed_out: int  # walkers bound to cross that had not by tau_max
 
     @property
     def success_rate(self) -> float:
         return self.successes / self.n
+
+    @property
+    def residual_success_bound(self) -> float:
+        """Success probability forfeited to tau_max: at most 1 per timed-out walker."""
+        return float(self.timed_out)
 
 
 def _wait_and_stop_block(args):
@@ -449,15 +475,16 @@ def _wait_and_stop_block(args):
     n2 = int(np.count_nonzero(gen.random(count) < p2))
     n1 = count - n2
     sign = 1.0 if r0 > 0.0 else -1.0
-    out = []
-    for group_count, drift in ((n1, DRIFT[1] * sign), (n2, DRIFT[2] * sign)):
-        if group_count:
-            out.append(_walk_group(gen, abs(r0), drift, group_count, config, collect_times))
-        else:
-            out.append((0, 0, 0, [], 0.0))
-    (c1, e1, t1, times1, res1), (c2, e2, t2, times2, res2) = out
-    times = np.concatenate(times1 + times2) if (collect_times and (times1 or times2)) else np.empty(0)
-    return c1 + c2, n1, times, res1 + res2
+    crossed, timed_out, times = 0, 0, []
+    for group_count, true_state in ((n1, 1), (n2, 2)):
+        walkers, drift = _crossers(gen, abs(r0), DRIFT[true_state] * sign, group_count)
+        if walkers:
+            c, _, t, group_times, _ = _walk_group(gen, abs(r0), drift, walkers, config, collect_times)
+            crossed += c
+            timed_out += t
+            times += group_times
+    stacked = np.concatenate(times) if (collect_times and times) else np.empty(0)
+    return crossed, n1, stacked, timed_out
 
 
 def wait_and_stop_ensemble(
@@ -474,7 +501,8 @@ def wait_and_stop_ensemble(
     """Ensemble of wait-and-stop reversal attempts after a readout r0.
 
     Per block, the true bit of each walker is sampled from the updated
-    populations, then both drift groups run on the block's stream.
+    populations, then both drift groups run on the block's stream; the
+    group drifting away from 0 walks only its crossers (see ``_crossers``).
     """
     if state.dim != 2:
         raise ValueError("wait-and-stop reversal is defined for a single qubit")
@@ -483,7 +511,7 @@ def wait_and_stop_ensemble(
     if r0 == 0.0:
         times = np.zeros(n) if collect_times else None
         return WaitAndStopEnsemble(
-            n=n, successes=n, state1_count=0, waiting_times=times, residual_success_bound=0.0
+            n=n, successes=n, state1_count=0, waiting_times=times, timed_out=0
         )
     posterior = qnd_posterior(state, r0)
     p2 = float(posterior.rho[1, 1].real)
@@ -495,10 +523,10 @@ def wait_and_stop_ensemble(
     successes = sum(p[0] for p in parts)
     state1 = sum(p[1] for p in parts)
     times = np.concatenate([p[2] for p in parts]) if collect_times else None
-    residual = float(sum(p[3] for p in parts))
+    timed_out = sum(p[3] for p in parts)
     return WaitAndStopEnsemble(
         n=n, successes=successes, state1_count=state1,
-        waiting_times=times, residual_success_bound=residual,
+        waiting_times=times, timed_out=timed_out,
     )
 
 
@@ -510,11 +538,9 @@ def _targeted_block(args):
     sign = 1.0 if target_r > 0.0 else -1.0
     hits = 0
     for group_count, true_state in ((n1, 1), (n2, 2)):
-        if group_count:
-            crossed, _, _, _, _ = _walk_group(
-                gen, abs(target_r), -DRIFT[true_state] * sign, group_count, config, False
-            )
-            hits += crossed
+        walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, group_count)
+        if walkers:
+            hits += _walk_group(gen, abs(target_r), drift, walkers, config, False)[0]
     return hits
 
 
@@ -531,7 +557,8 @@ def targeted_ensemble(
     """Count of runs whose readout reaches target_r from 0.
 
     Each run's true bit is 1 with probability p_state1; the walk drifts
-    toward the target for one bit value and away for the other.
+    toward the target for one bit value and away for the other, and only
+    the away runs bound to arrive are walked (see ``_crossers``).
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -569,6 +596,8 @@ def sample_total_uncollapse(
     """
     if tau1 <= 0.0:
         raise ValueError("tau1 must be positive")
+    if n <= 0:
+        raise ValueError("n must be positive")
     p2 = float(state.rho[1, 1].real)
     args = [
         (p2, tau1, size, seed, stream_offset + b) for b, size in enumerate(_block_sizes(n))
@@ -682,8 +711,10 @@ def targeted_measurement(
     """Wait-and-stop readout that stops when the record reaches target_r.
 
     The record starts at 0; hitting the (nonzero) target realizes the
-    diagonal operator diag(e^{target/2}, e^{-target/2}) exactly.  Returns
-    (hit, waiting time in units of T_M).
+    diagonal operator diag(e^{target/2}, e^{-target/2}) exactly.  Against
+    the drift, whether the record ever arrives is drawn once and only an
+    arriving record is walked (see ``_crossers``).  Returns (hit, waiting
+    time in units of T_M).
     """
     if true_state not in (1, 2):
         raise ValueError("true_state must be 1 or 2")
@@ -692,7 +723,8 @@ def targeted_measurement(
     gen = _as_generator(stream)
     sign = 1.0 if target_r > 0.0 else -1.0
     # fold onto the standard absorbing walk: x = target - r, drift flips sign
-    status, tau, _, _, _ = _walk_single(
-        abs(target_r), -DRIFT[true_state] * sign, config, gen, keep_path=False
-    )
+    walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, 1)
+    if not walkers:
+        return False, None
+    status, tau, _, _, _ = _walk_single(abs(target_r), drift, config, gen, keep_path=False)
     return status == "crossed", tau

@@ -118,6 +118,51 @@ def test_waiting_time_sample_matches_law():
     assert abs(summary.mean - 1.0) <= 3.0 * summary.std / math.sqrt(ens.waiting_times.size)
 
 
+def test_conditioned_crossers_success_rate():
+    # with p1 = 1 and r0 = 1 every walker drifts away; only the fate draw
+    # decides success, so the count follows exp(-2) exactly
+    cfg = tj.TrajectoryConfig(d_tau=0.05)
+    n = 30_000
+    ens = tj.wait_and_stop_ensemble(diag_state(1.0), 1.0, n, cfg, seed=12)
+    assert ens.state1_count == n
+    assert stats.bernoulli_estimate(ens.successes, n).contains(math.exp(-2.0))
+    assert ens.timed_out == 0 and ens.residual_success_bound == 0.0
+
+
+def test_conditioned_crossers_waiting_times_match_law():
+    # the crossers walk with the reversed drift (Doob h-transform), so
+    # their waiting times follow the same law as the drift-toward group
+    cfg = tj.TrajectoryConfig(d_tau=0.005)
+    ens = tj.wait_and_stop_ensemble(diag_state(1.0), 1.0, 80_000, cfg, seed=13, collect_times=True)
+    assert ens.waiting_times.size == ens.successes
+    comp = stats.ks_distance(ens.waiting_times, lambda t: charge.waiting_time_cdf(t, 1.0))
+    assert comp.statistic <= 0.03
+
+
+def test_timed_out_crossers_are_the_residual_bound():
+    # a tau_max shorter than the typical wait cuts many conditioned crossers;
+    # each forfeits at most probability 1 and nothing else is forfeited
+    cfg = tj.TrajectoryConfig(d_tau=0.05, tau_max=0.5)
+    n = 30_000
+    ens = tj.wait_and_stop_ensemble(diag_state(1.0), 1.0, n, cfg, seed=14, collect_times=True)
+    assert ens.timed_out > 0
+    assert ens.residual_success_bound == ens.timed_out
+    assert ens.waiting_times.size == ens.successes
+    assert np.all(ens.waiting_times <= 0.5)
+    crossers = ens.successes + ens.timed_out
+    assert stats.bernoulli_estimate(crossers, n).contains(math.exp(-2.0))
+
+
+def test_targeted_ensemble_against_drift_matches_law():
+    cfg = tj.TrajectoryConfig(d_tau=0.05)
+    n = 30_000
+    for target in (0.8, -0.8):
+        # bit 2 drifts toward negative r, bit 1 toward positive r
+        p_state1 = 0.0 if target > 0.0 else 1.0
+        hits = tj.targeted_ensemble(p_state1, target, n, cfg, seed=15)
+        assert stats.bernoulli_estimate(hits, n).contains(math.exp(-2.0 * abs(target)))
+
+
 def test_targeted_measurement_hits_when_drift_points_at_target():
     cfg = tj.TrajectoryConfig(d_tau=0.02, tau_max=60.0, escape_radius=6.0)
     for k in range(100):
@@ -252,6 +297,42 @@ def test_total_uncollapse_sampler_matches_erf_law():
         hits = tj.sample_total_uncollapse(diag_state(0.3), tau, n, seed=91)
         est = stats.bernoulli_estimate(hits, n)
         assert est.contains(float(charge.total_success_probability(tau)))
+
+
+def test_total_uncollapse_rejects_empty_ensembles():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            tj.sample_total_uncollapse(diag_state(0.5), 1.0, n, seed=1)
+
+
+def test_pool_size_bounded_by_blocks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # runs the blocks in this process; records the requested pool size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tj, "ProcessPoolExecutor", RecordingPool)
+    state = diag_state(0.5)
+    n = 3 * tj.BLOCK_SIZE
+    serial = tj.sample_total_uncollapse(state, 1.0, n, seed=21)
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 8)
+    assert tj.sample_total_uncollapse(state, 1.0, n, seed=21, workers=10**6) == serial
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 2)
+    assert tj.sample_total_uncollapse(state, 1.0, n, seed=21, workers=10**6) == serial
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: None)
+    assert tj.sample_total_uncollapse(state, 1.0, n, seed=21, workers=10**6) == serial
+    assert sizes == [3, 2]
 
 
 def test_config_validation():
