@@ -110,6 +110,17 @@ class Row:
             "within": bool(self.within),
         }
 
+    def csv_cells(self) -> list:
+        """label, value, ci_low, ci_high, reference, within, as written to CSV."""
+        return [
+            self.label,
+            repr(float(self.value)),
+            "" if self.ci_low is None else repr(float(self.ci_low)),
+            "" if self.ci_high is None else repr(float(self.ci_high)),
+            repr(float(self.reference)),
+            bool(self.within),
+        ]
+
 
 @dataclass
 class CriterionResult:
@@ -554,19 +565,7 @@ def render_acceptance_csv(results: list[CriterionResult]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["criterion", "name", "label", "value", "ci_low", "ci_high", "reference", "within"])
     for r in results:
-        for row in r.rows:
-            writer.writerow(
-                [
-                    r.index,
-                    r.name,
-                    row.label,
-                    repr(float(row.value)),
-                    "" if row.ci_low is None else repr(float(row.ci_low)),
-                    "" if row.ci_high is None else repr(float(row.ci_high)),
-                    repr(float(row.reference)),
-                    bool(row.within),
-                ]
-            )
+        writer.writerows([r.index, r.name, *row.csv_cells()] for row in r.rows)
     return buf.getvalue()
 
 

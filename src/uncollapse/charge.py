@@ -192,17 +192,12 @@ def fpt_density(tau, r0: float, state_index: int):
 
 
 def conditional_fpt_density(tau, r0: float):
-    """First-passage density conditioned on crossing; state independent."""
-    tau = np.asarray(tau, dtype=float)
-    x0 = abs(r0)
-    out = np.where(
-        tau > 0.0,
-        x0
-        / np.sqrt(4.0 * math.pi * DIFFUSION * np.where(tau > 0.0, tau, 1.0) ** 3)
-        * np.exp(-((x0 - tau) ** 2) / (4.0 * DIFFUSION * np.where(tau > 0.0, tau, 1.0))),
-        0.0,
-    )
-    return out if out.ndim else float(out)
+    """First-passage density conditioned on crossing; state independent.
+
+    Conditioned on crossing, the readout drifts toward zero (Doob's
+    h-transform), so this is the density of the drift-toward state.
+    """
+    return fpt_density(tau, abs(r0), 2)
 
 
 def waiting_time_pdf(t, r0: float, t_m: float = 1.0):
@@ -277,41 +272,3 @@ def total_success_probability(t, t_m: float = 1.0):
         raise ValueError("duration must be nonnegative")
     out = 1.0 - erf(np.sqrt(t / (2.0 * t_m)))
     return out if out.ndim else float(out)
-
-
-def fpt_time_cutoff(r0: float, t_m: float = 1.0) -> float:
-    """Truncation point for waiting-time quadrature.
-
-    The density's tail decays only like exp(-tau/2), so the cutoff keeps a
-    fixed 24 T_M of headroom beyond the drift scale; the remaining mass,
-    bounded by exp(-(tau-|r0|)^2 / 2 tau), is below 1e-8 for |r0| up to 20.
-    """
-    a = abs(r0)
-    return t_m * (a + 16.0 * math.sqrt(a + 1.0) + 24.0)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1) + recurse(
-            x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1
-        )
-
-    if not b > a:
-        raise ValueError("integration interval must have positive length")
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)

@@ -26,6 +26,8 @@ import numpy as np
 from . import __version__
 from .acceptance import (
     Row,
+    _derive,
+    _interval_row,
     render_acceptance_csv,
     render_acceptance_json,
     run_acceptance,
@@ -53,7 +55,6 @@ from .multiqubit import success_probability as multiqubit_success_probability
 from .phase import PhaseMeasurementParams, protocol_ensemble
 from .phase import joint_success as phase_joint_success
 from .phase import success_probability as phase_success_probability
-from .stats import bernoulli_estimate
 from .trajectory import (
     NoiseStream,
     TrajectoryConfig,
@@ -148,6 +149,23 @@ def _pair(z):
 
 
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+_NUMBER = (int, float)
+# the JSON values each numeric field accepts; bool never counts as a number
+_NUMBER_TYPES = {
+    "seed": int, "trajectories": int, "workers": int, "n_qubits": int, "tau_grid_points": int,
+    "d_tau": _NUMBER, "tau_max": (*_NUMBER, type(None)), "escape_radius": (*_NUMBER, type(None)),
+    "r0": _NUMBER, "duration_tau": _NUMBER, "epsilon": _NUMBER, "coupling": _NUMBER,
+    "p_t": _NUMBER, "phi": _NUMBER, "gamma": _NUMBER,
+}
+
+
+def _check_numbers(cfg: ExperimentConfig) -> None:
+    for name, allowed in _NUMBER_TYPES.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{name} must be {'an integer' if allowed is int else 'a number'}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -162,6 +180,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             value = tuple(value)
         coerced[key] = value
     cfg = ExperimentConfig(**coerced)
+    _check_numbers(cfg)
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     if cfg.trajectories <= 0:
@@ -170,7 +189,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("workers must be at least 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    if not 0 <= int(cfg.seed) < 2**64:
+    if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
     try:
         cfg.trajectory_config()
@@ -209,24 +228,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _derive_seed(seed: int, index: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + index + 1) & 0xFFFFFFFFFFFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # experiments (uniform Row output)
-
-
-def _mc_row(label: str, successes: int, trials: int, reference: float) -> Row:
-    est = bernoulli_estimate(successes, trials)
-    return Row(
-        label=label,
-        value=est.rate,
-        reference=reference,
-        within=est.contains(reference),
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-    )
 
 
 def run_charge_qnd(cfg: ExperimentConfig) -> list[Row]:
@@ -236,7 +239,7 @@ def run_charge_qnd(cfg: ExperimentConfig) -> list[Row]:
         collect_times=True, workers=cfg.workers,
     )
     ref = uncollapse_success_probability(state, cfg.r0)
-    rows = [_mc_row("success_rate", ens.successes, ens.n, ref)]
+    rows = [_interval_row("success_rate", ens.successes, ens.n, ref)]
     if ens.waiting_times is not None and ens.waiting_times.size:
         mean = float(np.mean(ens.waiting_times))
         se = float(np.std(ens.waiting_times, ddof=1) / math.sqrt(ens.waiting_times.size))
@@ -268,7 +271,7 @@ def run_charge_total(cfg: ExperimentConfig) -> list[Row]:
         state, cfg.duration_tau, cfg.trajectories, cfg.seed, workers=cfg.workers
     )
     ref = float(total_success_probability(cfg.duration_tau))
-    return [_mc_row("total_success_rate", hits, cfg.trajectories, ref)]
+    return [_interval_row("total_success_rate", hits, cfg.trajectories, ref)]
 
 
 def run_charge_evolving(cfg: ExperimentConfig) -> list[Row]:
@@ -287,9 +290,9 @@ def run_charge_evolving(cfg: ExperimentConfig) -> list[Row]:
     bound = success_bound(sim.extraction, state)
     walk_cfg = replace(sim_cfg, epsilon=0.0, coupling=0.0)
     hits = plan_execution_ensemble(
-        plan, psi_m, cfg.trajectories, walk_cfg, _derive_seed(cfg.seed, 1), workers=cfg.workers
+        plan, psi_m, cfg.trajectories, walk_cfg, _derive(cfg.seed, 1), workers=cfg.workers
     )
-    rows = [_mc_row("success_rate", hits, cfg.trajectories, bound)]
+    rows = [_interval_row("success_rate", hits, cfg.trajectories, bound)]
     rows.append(
         Row(
             label="plan_vs_bound",
@@ -310,18 +313,16 @@ def run_phase(cfg: ExperimentConfig) -> list[Row]:
     rows = []
     if nulls == 0:
         raise ImpossibleOutcomeError("no null results observed; p_t too strong for this state")
-    rows.append(_mc_row("success_rate_given_null", successes, nulls, ref))
-    rows.append(_mc_row("joint_success_rate", successes, cfg.trajectories, phase_joint_success(params)))
+    rows.append(_interval_row("success_rate_given_null", successes, nulls, ref))
+    rows.append(
+        _interval_row("joint_success_rate", successes, cfg.trajectories, phase_joint_success(params))
+    )
     return rows
 
 
 def _check_multiqubit(cfg: ExperimentConfig) -> None:
-    if isinstance(cfg.gamma, bool) or not isinstance(cfg.gamma, (int, float)):
-        raise ConfigError("gamma must be a number")
-    if not (math.isfinite(cfg.gamma) and cfg.gamma > 0.0):
-        raise ConfigError("gamma must be finite and positive")
-    if isinstance(cfg.n_qubits, bool) or not isinstance(cfg.n_qubits, int):
-        raise ConfigError("n_qubits must be an integer")
+    if not cfg.gamma > 0.0:
+        raise ConfigError("gamma must be positive")
     if not 1 <= cfg.n_qubits <= 6:
         raise ConfigError("n_qubits must be between 1 and 6")
 
@@ -344,9 +345,9 @@ def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
     ref = multiqubit_success_probability(plan, psi_t)
     trace_form, normalized_form = stepwise_probabilities(plan, psi_t)
     ens = multiqubit_ensemble(
-        plan, psi_t, cfg.trajectories, NoiseStream(_derive_seed(cfg.seed, 2), 0)
+        plan, psi_t, cfg.trajectories, NoiseStream(_derive(cfg.seed, 2), 0)
     )
-    rows = [_mc_row("success_rate", ens.successes, ens.n, ref)]
+    rows = [_interval_row("success_rate", ens.successes, ens.n, ref)]
     agreement = float(np.max(np.abs(trace_form - normalized_form)))
     rows.append(
         Row(label="stepwise_agreement", value=agreement, reference=1e-12, within=agreement <= 1e-12)
@@ -384,17 +385,7 @@ def _rows_csv(rows: list[Row]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "value", "ci_low", "ci_high", "reference", "within"])
-    for r in rows:
-        writer.writerow(
-            [
-                r.label,
-                repr(float(r.value)),
-                "" if r.ci_low is None else repr(float(r.ci_low)),
-                "" if r.ci_high is None else repr(float(r.ci_high)),
-                repr(float(r.reference)),
-                bool(r.within),
-            ]
-        )
+    writer.writerows(r.csv_cells() for r in rows)
     return buf.getvalue()
 
 
@@ -465,7 +456,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
         point = replace(
             cfg,
             **{cfg.sweep_parameter: cast(raw)},
-            seed=_derive_seed(cfg.seed, index),
+            seed=_derive(cfg.seed, index),
             sweep_parameter=None,
             sweep_values=(),
         )
@@ -570,9 +561,6 @@ def main(argv: list[str] | None = None) -> int:
         rows = _RUNNERS[cfg.kind](cfg)
         _write_outputs(cfg, rows)
         return EXIT_OK
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
     except (
         ImpossibleOutcomeError,
         UncollapseImpossibleError,
@@ -582,6 +570,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # after the numeric handler: the two impossibility errors are ValueErrors too
+        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

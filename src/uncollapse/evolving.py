@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge import crossing_probability
-from .linalg import max_abs, svd
+from .linalg import _fix_column_phases, max_abs, svd
 from .measurement import QuantumState, UncollapseImpossibleError
 from .trajectory import (
+    BLOCK_SIZE,
     KrausExtraction,
     TrajectoryConfig,
     _as_generator,
@@ -62,25 +63,6 @@ class UncollapsePlan:
         return self.post_rotation @ self.stopped_operator() @ self.pre_rotation
 
 
-def _fix_column_phases_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Make each column of U have its largest entry real positive.
-
-    The compensating phases go into the rows of V; L is diagonal so the
-    product U L V is unchanged.
-    """
-    u = u.copy()
-    v = v.copy()
-    for j in range(2):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        mag = abs(col[k])
-        if mag > 0.0:
-            phase = col[k] / mag
-            u[:, j] = col * phase.conjugate()
-            v[j, :] = v[j, :] * phase
-    return u, v
-
-
 def plan_from_kraus(extraction: KrausExtraction | np.ndarray, choice: int = 1) -> UncollapsePlan:
     """Build the optimal reversal plan from a realized measurement operator.
 
@@ -112,7 +94,7 @@ def plan_from_kraus(extraction: KrausExtraction | np.ndarray, choice: int = 1) -
         u = dec.v.conj().T
         v = dec.u.conj().T
         target = 0.0 if degenerate else math.log(s_lo / s_hi)
-    u, v = _fix_column_phases_pair(u, v)
+    u, v = _fix_column_phases(u, v)
     # pin the free global phase of V (it only rephases the constant C);
     # unitaries have exactly tied |entries|, so take the first entry within
     # a whisker of the maximum rather than a bare argmax
@@ -309,9 +291,10 @@ def two_step_ensemble(
     )
     if survivors == 0 or second_target == 0.0:
         return survivors
+    # the second stage starts at the first stream the first one left unused
     return targeted_ensemble(
         p1_second, second_target, survivors, config, seed,
-        stream_offset=stream_offset + 1_000_000, workers=workers,
+        stream_offset=stream_offset + math.ceil(n / BLOCK_SIZE), workers=workers,
     )
 
 

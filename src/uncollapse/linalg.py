@@ -45,16 +45,25 @@ def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+def _fix_column_phases(vectors: np.ndarray, rows: np.ndarray | None = None):
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Returns the rotated copy and, when ``rows`` is given, a copy of it whose
+    row j takes the phase removed from column j, so that a product
+    ``vectors @ diag(s) @ rows`` is unchanged.
+    """
     out = vectors.copy()
+    rows = None if rows is None else rows.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
         k = int(np.argmax(np.abs(col)))
         mag = abs(col[k])
         if mag > 0.0:
-            out[:, j] = col * (col[k].conjugate() / mag)
-    return out
+            phase = col[k] / mag
+            out[:, j] = col * phase.conjugate()
+            if rows is not None:
+                rows[j, :] = rows[j, :] * phase
+    return out, rows
 
 
 def _canonical_degenerate_basis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -90,7 +99,7 @@ def _canonical_degenerate_basis(values: np.ndarray, vectors: np.ndarray) -> np.n
             if len(accepted) == size:
                 out[:, start:stop] = np.column_stack(accepted)
         start = stop
-    return _fix_column_phases(out)
+    return _fix_column_phases(out)[0]
 
 
 @dataclass(frozen=True)
@@ -140,16 +149,7 @@ def svd(matrix) -> SVDResult:
     """SVD of a square complex matrix with deterministic column phases."""
     a = as_square_matrix(matrix)
     u, s, vh = np.linalg.svd(a)
-    u = np.asarray(u, dtype=complex)
-    vh = np.asarray(vh, dtype=complex)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        mag = abs(col[k])
-        if mag > 0.0:
-            phase = col[k] / mag
-            u[:, j] = col * phase.conjugate()
-            vh[j, :] = vh[j, :] * phase
+    u, vh = _fix_column_phases(np.asarray(u, dtype=complex), np.asarray(vh, dtype=complex))
     return SVDResult(u=u, s=s, v=vh)
 
 

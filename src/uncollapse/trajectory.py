@@ -15,6 +15,11 @@ probability exp(-2 x_a x_b / dtau) inside each step, so first-passage
 *probabilities* carry no time-step bias at any dtau; only the recorded
 crossing times are quantized at the step scale.
 
+One kernel, ``_walk``, runs every absorbing walk, single or ensemble.  It
+steps in time chunks of k = min(max(1, 4096 // live), steps left) steps
+for all live walkers at once: a lone walker draws 4096 steps per chunk, a
+crowd of 4096 or more one step, and a thinning tail ever longer chunks.
+
 Reversal ensembles and ``targeted_measurement`` never walk a walker that
 drifts away from the boundary: its fate is drawn once against its
 crossing probability exp(-2|x0|), and the crossers walk with the drift
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -37,7 +43,7 @@ from .linalg import u2_exp
 from .measurement import QuantumState
 
 BLOCK_SIZE = 16384
-_CHUNK = 4096  # single-trajectory draw granularity
+_CHUNK = 4096  # walker-steps drawn per chunk of the walk
 
 
 @dataclass(frozen=True)
@@ -188,76 +194,90 @@ def extraction_eigenvalues(v1, v2) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# single-trajectory walks
+# the absorbing walk
 
 
-def _walk_single(x0: float, drift: float, config: TrajectoryConfig, gen: np.random.Generator,
-                 keep_path: bool):
-    """Absorbing walk in the folded frame: start x0 > 0, boundary at 0.
+class _Walks(NamedTuple):
+    crossed: int
+    escaped: int
+    timed_out: int
+    times: np.ndarray  # crossing times of the crossers if collect_times, else empty
+    residual: float  # crossing probability forfeited to escape_radius and tau_max
+    path: np.ndarray | None = None  # keep_path: positions from x0 on
+    increments: np.ndarray | None = None
 
-    Returns (status, crossing_tau, escaped, path, increments) where the
-    crossing time interpolates inside the absorbing step.
+
+def _walk(gen: np.random.Generator, x0: float, drift: float, count: int, config: TrajectoryConfig,
+          collect_times: bool = False, keep_path: bool = False) -> _Walks:
+    """Absorbing walks of `count` walkers in the folded frame: start x0 > 0, boundary at 0.
+
+    Time runs in chunks of k steps for all live walkers at once, with k =
+    min(max(1, _CHUNK // live), steps left): one walker draws _CHUNK steps
+    per chunk, a crowd of _CHUNK or more draws one step.  A walker's first
+    event in the chunk ends it: a crossing (endpoint at or below 0, or the
+    bridge test), which beats an escape past escape_radius on the same
+    step.  The crossing time interpolates inside the absorbing step.
+    ``keep_path`` records the path of a single walker.
     """
     dt = config.d_tau
     sqrt_dt = math.sqrt(dt)
-    tau_max = config.resolved_tau_max(x0)
-    max_steps = int(math.ceil(tau_max / dt))
+    max_steps = int(math.ceil(config.resolved_tau_max(x0) / dt))
     radius = config.escape_radius if (config.escape_radius is not None and drift > 0.0) else None
 
-    x = x0
-    done_steps = 0
-    paths = [np.array([x0])] if keep_path else None
-    incs = [] if keep_path else None
-    status, crossing_tau, escaped = "timed-out", None, False
-
-    while done_steps < max_steps:
-        k = min(_CHUNK, max_steps - done_steps)
-        noise = gen.standard_normal(k, dtype=np.float32).astype(np.float64)
-        uniforms = gen.random(k)
-        steps = drift * dt + sqrt_dt * noise
-        xs = x + np.cumsum(steps)
-        prev = np.empty(k)
-        prev[0] = x
-        prev[1:] = xs[:-1]
-
-        crossed = xs <= 0.0
+    x = np.full(count, x0, dtype=np.float64)
+    crossed = escaped = 0
+    residual = 0.0
+    times: list[np.ndarray] = []
+    paths, incs = [np.array([x0])], []
+    done = 0
+    while x.size and done < max_steps:
+        live = x.size
+        k = min(max(1, _CHUNK // live), max_steps - done)
+        steps = gen.standard_normal((k, live), dtype=np.float32).astype(np.float64)
+        uniforms = gen.random((k, live))
+        steps *= sqrt_dt
+        steps += drift * dt
+        # a one-row cumsum is a copy, but a slow one along axis 0
+        xs = (np.cumsum(steps, axis=0) if k > 1 else steps) + x
+        prev = np.concatenate((x[None], xs[:-1]))
+        hit = xs <= 0.0
+        bridge = prev * xs
+        bridge *= -2.0 / dt
         with np.errstate(over="ignore", under="ignore"):
-            p_bridge = np.exp(prev * xs * (-2.0 / dt))
-        hit = crossed | ((~crossed) & (uniforms < p_bridge))
-        hit_idx = int(np.argmax(hit)) if hit.any() else -1
-        esc_idx = -1
-        if radius is not None:
-            esc = xs >= radius
-            if hit_idx >= 0:
-                esc[hit_idx:] = False
-            if esc.any():
-                esc_idx = int(np.argmax(esc))
-
-        if hit_idx >= 0 and (esc_idx < 0 or hit_idx <= esc_idx):
-            a, b = prev[hit_idx], xs[hit_idx]
-            frac = a / (a - b) if b <= 0.0 else a / (a + b)
-            crossing_tau = (done_steps + hit_idx + frac) * dt
-            status = "crossed"
-            cut = hit_idx + 1
-        elif esc_idx >= 0:
-            status, escaped = "timed-out", True
-            cut = esc_idx + 1
-        else:
-            cut = k
-
+            np.exp(bridge, out=bridge)
+        hit |= uniforms < bridge
+        event = hit if radius is None else hit | (xs >= radius)
+        # row-major order: the first event of each column is its first entry
+        rows, cols = np.divmod(np.flatnonzero(event), live)
+        cols, first = np.unique(cols, return_index=True)
+        rows = rows[first]
+        is_hit = hit[rows, cols]
+        n_hit = int(np.count_nonzero(is_hit))
+        crossed += n_hit
+        if collect_times and n_hit:
+            r, c = rows[is_hit], cols[is_hit]
+            a, b = prev[r, c], xs[r, c]
+            frac = np.where(b <= 0.0, a / (a - b), a / (a + b))
+            times.append((done + r + frac) * dt)
+        if n_hit < cols.size:
+            escaped += cols.size - n_hit
+            residual += float(np.sum(np.exp(-2.0 * xs[rows[~is_hit], cols[~is_hit]])))
         if keep_path:
-            paths.append(xs[:cut])
-            incs.append(steps[:cut])
-        if status != "timed-out" or escaped:
-            if keep_path:
-                return status, crossing_tau, escaped, np.concatenate(paths), np.concatenate(incs)
-            return status, crossing_tau, escaped, None, None
-        x = float(xs[-1])
-        done_steps += k
+            cut = int(rows[0]) + 1 if rows.size else k
+            paths.append(xs[:cut, 0])
+            incs.append(steps[:cut, 0])
+        keep = np.ones(live, dtype=bool)
+        keep[cols] = False
+        x = xs[-1][keep]  # 1-D mask: indexing row and mask together is far slower
+        done += k
 
-    if keep_path:
-        return status, crossing_tau, escaped, np.concatenate(paths), np.concatenate(incs)
-    return status, crossing_tau, escaped, None, None
+    timed_out = int(x.size)
+    if timed_out:
+        residual += float(np.sum(np.exp(-2.0 * x))) if drift > 0.0 else float(timed_out)
+    return _Walks(
+        crossed, escaped, timed_out, np.concatenate(times) if times else np.empty(0), residual,
+        np.concatenate(paths) if keep_path else None, np.concatenate(incs) if keep_path else None,
+    )
 
 
 def _crossers(gen: np.random.Generator, x0: float, drift: float, count: int) -> tuple[int, float]:
@@ -290,15 +310,13 @@ def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stre
         raise ValueError("r_start must be away from the boundary")
     gen = _as_generator(stream)
     sign = 1.0 if r_start > 0.0 else -1.0
-    status, crossing_tau, escaped, path, incs = _walk_single(
-        abs(r_start), DRIFT[true_state] * sign, config, gen, keep_path=True
-    )
+    walk = _walk(gen, abs(r_start), DRIFT[true_state] * sign, 1, config, collect_times=True, keep_path=True)
     return TrajectoryRecord(
-        r_path=sign * path,
-        increments=sign * incs,
-        status=status,
-        crossing_time=crossing_tau,
-        escaped=escaped,
+        r_path=sign * walk.path,
+        increments=sign * walk.increments,
+        status="crossed" if walk.crossed else "timed-out",
+        crossing_time=float(walk.times[0]) if walk.crossed else None,
+        escaped=bool(walk.escaped),
     )
 
 
@@ -339,67 +357,10 @@ class FirstPassageEnsemble:
     residual_crossing_bound: float  # upper bound on crossings forfeited by cutoffs
 
 
-def _walk_group(gen: np.random.Generator, x0: float, drift: float, count: int,
-                config: TrajectoryConfig, collect_times: bool):
-    """Vectorized absorbing walk for `count` walkers sharing (x0, drift)."""
-    dt = config.d_tau
-    sqrt_dt = math.sqrt(dt)
-    tau_max = config.resolved_tau_max(x0)
-    max_steps = int(math.ceil(tau_max / dt))
-    radius = config.escape_radius if (config.escape_radius is not None and drift > 0.0) else None
-
-    x = np.full(count, x0, dtype=np.float64)
-    crossed = 0
-    escaped = 0
-    residual = 0.0
-    times: list[np.ndarray] = []
-
-    step = 0
-    while x.size and step < max_steps:
-        noise = gen.standard_normal(x.size, dtype=np.float32)
-        uniforms = gen.random(x.size)
-        # drift term kept in float64; only the zero-mean noise is f32-quantized
-        x_new = (x + drift * dt) + sqrt_dt * noise
-        hit = x_new <= 0.0
-        with np.errstate(over="ignore", under="ignore"):
-            p_bridge = np.exp(x * x_new * (-2.0 / dt))
-        hit |= (~hit) & (uniforms < p_bridge)
-        n_hit = int(np.count_nonzero(hit))
-        if n_hit:
-            crossed += n_hit
-            if collect_times:
-                xa = x[hit]
-                xb = x_new[hit]
-                frac = np.where(xb <= 0.0, xa / (xa - xb), xa / (xa + xb))
-                times.append((step + frac) * dt)
-        keep = ~hit
-        if radius is not None:
-            esc = keep & (x_new >= radius)
-            n_esc = int(np.count_nonzero(esc))
-            if n_esc:
-                escaped += n_esc
-                residual += float(np.sum(np.exp(-2.0 * x_new[esc])))
-                keep &= ~esc
-        x = x_new[keep]
-        step += 1
-
-    timed_out = int(x.size)
-    if timed_out:
-        if drift > 0.0:
-            residual += float(np.sum(np.exp(-2.0 * x)))
-        else:
-            residual += float(timed_out)
-    return crossed, escaped, timed_out, times, residual
-
-
 def _first_passage_block(args):
     x0, drift, count, config, seed, index, collect_times = args
     gen = NoiseStream(seed, index).generator()
-    crossed, escaped, timed_out, times, residual = _walk_group(
-        gen, x0, drift, count, config, collect_times
-    )
-    stacked = np.concatenate(times) if (collect_times and times) else np.empty(0)
-    return crossed, escaped, timed_out, stacked, residual
+    return _walk(gen, x0, drift, count, config, collect_times)[:5]
 
 
 def _run_blocks(block_fn, args_list, workers: int):
@@ -475,16 +436,15 @@ def _wait_and_stop_block(args):
     n2 = int(np.count_nonzero(gen.random(count) < p2))
     n1 = count - n2
     sign = 1.0 if r0 > 0.0 else -1.0
-    crossed, timed_out, times = 0, 0, []
+    crossed, timed_out, times = 0, 0, [np.empty(0)]
     for group_count, true_state in ((n1, 1), (n2, 2)):
         walkers, drift = _crossers(gen, abs(r0), DRIFT[true_state] * sign, group_count)
         if walkers:
-            c, _, t, group_times, _ = _walk_group(gen, abs(r0), drift, walkers, config, collect_times)
-            crossed += c
-            timed_out += t
-            times += group_times
-    stacked = np.concatenate(times) if (collect_times and times) else np.empty(0)
-    return crossed, n1, stacked, timed_out
+            walk = _walk(gen, abs(r0), drift, walkers, config, collect_times)
+            crossed += walk.crossed
+            timed_out += walk.timed_out
+            times.append(walk.times)
+    return crossed, n1, np.concatenate(times), timed_out
 
 
 def wait_and_stop_ensemble(
@@ -540,7 +500,7 @@ def _targeted_block(args):
     for group_count, true_state in ((n1, 1), (n2, 2)):
         walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, group_count)
         if walkers:
-            hits += _walk_group(gen, abs(target_r), drift, walkers, config, False)[0]
+            hits += _walk(gen, abs(target_r), drift, walkers, config).crossed
     return hits
 
 
@@ -726,5 +686,5 @@ def targeted_measurement(
     walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, 1)
     if not walkers:
         return False, None
-    status, tau, _, _, _ = _walk_single(abs(target_r), drift, config, gen, keep_path=False)
-    return status == "crossed", tau
+    walk = _walk(gen, abs(target_r), drift, 1, config, collect_times=True)
+    return bool(walk.crossed), (float(walk.times[0]) if walk.crossed else None)

@@ -245,6 +245,37 @@ def test_multiqubit_bad_config_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "charge-qnd", "trajectories": "abc"},
+        {"kind": "charge-qnd", "trajectories": 2.5},
+        {"kind": "charge-qnd", "trajectories": 100, "workers": "2"},
+        {"kind": "charge-qnd", "trajectories": 100, "seed": "x"},
+        {"kind": "phase", "trajectories": 100, "p_t": 1.5},
+        {"kind": "charge-total", "trajectories": 100, "duration_tau": -1},
+        {"kind": "charge-qnd", "trajectories": 100, "r0": float("nan")},
+        {"kind": "charge-evolving", "trajectories": 100, "detector": {"i1": 1.0, "i2": 1.0, "s_i": 0.04}},
+    ],
+    ids=["trajectories-abc", "trajectories-2.5", "workers-str", "seed-str", "p_t-1.5",
+         "duration_tau-neg", "r0-nan", "i1-eq-i2"],
+)
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))  # NaN is written as the bare token json.loads accepts
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_optional_numbers_accept_null():
+    cfg = cli.config_from_dict({"tau_max": None, "escape_radius": None})
+    assert cfg.trajectory_config().escape_radius is None
+    with pytest.raises(cli.ConfigError):
+        cli.config_from_dict({"escape_radius": float("inf")})
+
+
 def test_multiqubit_bad_sweep_value_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -30,6 +30,30 @@ def test_simulate_qnd_bit_identical_records():
     assert r1.status == r2.status and r1.crossing_time == r2.crossing_time
 
 
+def test_single_walks_pinned():
+    # single walks draw 4096-step chunks; these values were recorded before
+    # the ensemble and single-walker kernels were merged and must not move
+    cfg = tj.TrajectoryConfig(d_tau=0.02, escape_radius=6.0)
+    rec = tj.simulate_qnd(2, 1.0, cfg, tj.NoiseStream(7, 1))
+    assert (rec.status, rec.crossing_time, rec.r_path.size) == ("crossed", 0.4922308434357619, 26)
+    assert rec.r_path[-1] == -0.04833498355141286 and rec.increments[0] == -0.1039293796632599
+    rec = tj.simulate_qnd(1, -0.6, cfg, tj.NoiseStream(8, 0))
+    assert (rec.status, rec.crossing_time, rec.r_path.size) == ("crossed", 0.8489214915719243, 44)
+    assert rec.r_path[-1] == 0.07865573588007535
+    rec = tj.simulate_qnd(1, 0.4, cfg, tj.NoiseStream(9, 3))
+    assert (rec.status, rec.crossing_time, rec.escaped, rec.r_path.size) == ("timed-out", None, True, 268)
+    assert rec.r_path[-1] == 6.236774397505664
+    # two chunks: 5000 steps, no crossing
+    rec = tj.simulate_qnd(1, 2.0, tj.TrajectoryConfig(d_tau=1e-3, tau_max=5.0), tj.NoiseStream(10, 0))
+    assert (rec.status, rec.escaped, rec.r_path.size) == ("timed-out", False, 5001)
+    assert rec.r_path[4500] == 6.2165907457086895 and rec.r_path[-1] == 7.854711171900893
+    fine = tj.TrajectoryConfig(d_tau=1e-3)
+    assert tj.targeted_measurement(1, 0.8, cfg, tj.NoiseStream(55, 0)) == (True, 1.6573296700668407)
+    assert tj.targeted_measurement(2, 0.8, cfg, tj.NoiseStream(56, 0)) == (False, None)
+    assert tj.targeted_measurement(2, 0.8, fine, tj.NoiseStream(56, 1)) == (True, 1.1605827638254982)
+    assert tj.targeted_measurement(2, -1.3, fine, tj.NoiseStream(57, 4)) == (True, 5.099652777622783)
+
+
 def test_simulate_qnd_record_invariants():
     cfg = tj.TrajectoryConfig(d_tau=0.01, tau_max=3.0)
     rec = tj.simulate_qnd(1, -0.8, cfg, tj.NoiseStream(11, 0))
@@ -116,6 +140,35 @@ def test_waiting_time_sample_matches_law():
     assert comp.statistic <= 0.03
     summary = stats.moment_summary(ens.waiting_times)
     assert abs(summary.mean - 1.0) <= 3.0 * summary.std / math.sqrt(ens.waiting_times.size)
+
+
+def test_small_ensembles_walk_multi_step_chunks():
+    # 300 walkers per call keep every chunk at k >= 4096 // 300 = 13 steps,
+    # so these laws are checked on the chunked path, not the one-step bulk
+    state = diag_state(0.5)
+    n, calls = 300, 40
+    coarse = tj.TrajectoryConfig(d_tau=0.05)
+    successes = sum(
+        tj.wait_and_stop_ensemble(state, 1.0, n, coarse, seed=31, stream_offset=i).successes
+        for i in range(calls)
+    )
+    assert stats.bernoulli_estimate(successes, n * calls).contains(
+        charge.uncollapse_success_probability(state, 1.0)
+    )
+    fine = tj.TrajectoryConfig(d_tau=0.005)
+    times = np.concatenate([
+        tj.wait_and_stop_ensemble(
+            state, 1.0, n, fine, seed=32, stream_offset=i, collect_times=True
+        ).waiting_times
+        for i in range(calls)
+    ])
+    comp = stats.ks_distance(times, lambda t: charge.waiting_time_cdf(t, 1.0))
+    assert comp.statistic <= 0.03
+    cut = tj.TrajectoryConfig(d_tau=0.02, tau_max=1.0, escape_radius=2.0)
+    ens = tj.run_first_passage_ensemble(1.0, +1.0, n, cut, seed=33, collect_times=True)
+    assert min(ens.crossed, ens.escaped, ens.timed_out) > 0
+    assert ens.crossed + ens.escaped + ens.timed_out == n
+    assert ens.crossing_times.size == ens.crossed and np.all(ens.crossing_times <= 1.0)
 
 
 def test_conditioned_crossers_success_rate():
