@@ -275,7 +275,7 @@ def criterion_4(seed: int, scale: float, workers: int) -> CriterionResult:
         plan = plan_from_kraus(sim.extraction, choice=1 + k % 2)
         psi_m = sim.psi / np.linalg.norm(sim.psi)
         walk_cfg = TrajectoryConfig(d_tau=1e-3, escape_radius=7.0)
-        for attempt in range(500):
+        for attempt in range(_attempt_cap(plan_success_probability(plan, psi_m))):
             ex = _execute_once(plan, psi_m, walk_cfg, _derive(seed, 4, k, attempt))
             if ex is not None:
                 worst_sim = max(worst_sim, max_abs(np.outer(ex, ex.conj()) - np.outer(psi_in, psi_in.conj())))
@@ -285,6 +285,17 @@ def criterion_4(seed: int, scale: float, workers: int) -> CriterionResult:
     res.rows.append(_tolerance_row("simulated_max_error", worst_sim, 1e-6))
     res.rows.append(_tolerance_row("simulated_unfinished_runs", float(unfinished), 0.0))
     return res
+
+
+def _attempt_cap(p_success: float) -> int:
+    """Attempts after which a correct program has failed every one with probability <= 1e-9.
+
+    Sized per record from its exact success probability: a fixed cap
+    fails a record whose plan rarely succeeds on a working program.
+    """
+    if p_success >= 1.0:
+        return 1
+    return max(1, math.ceil(math.log(1e-9) / math.log1p(-p_success)))
 
 
 def _execute_once(plan, psi_m, cfg, seed):

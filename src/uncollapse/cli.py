@@ -157,15 +157,44 @@ _NUMBER_TYPES = {
     "r0": _NUMBER, "duration_tau": _NUMBER, "epsilon": _NUMBER, "coupling": _NUMBER,
     "p_t": _NUMBER, "phi": _NUMBER, "gamma": _NUMBER,
 }
+# sweepable fields and the cast of their values; int fields take integers only
+_SWEEPABLE = {
+    "r0": float,
+    "duration_tau": float,
+    "p_t": float,
+    "phi": float,
+    "gamma": float,
+    "d_tau": float,
+    "n_qubits": int,
+    "trajectories": int,
+}
+
+_STRING_FIELDS = ("kind", "out", "format", "sweep_parameter")
 
 
-def _check_numbers(cfg: ExperimentConfig) -> None:
+def _check_number(name: str, value, allowed) -> None:
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be {'an integer' if allowed is int else 'a number'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
     for name, allowed in _NUMBER_TYPES.items():
+        _check_number(name, getattr(cfg, name), allowed)
+    for name in _STRING_FIELDS:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"{name} must be {'an integer' if allowed is int else 'a number'}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not isinstance(value, str) and not (name == "sweep_parameter" and value is None):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+    for name in ("r0_grid", "sweep_values"):
+        if not isinstance(getattr(cfg, name), tuple):
+            raise ConfigError(f"{name} must be a list, got {getattr(cfg, name)!r}")
+    for k, value in enumerate(cfg.r0_grid):
+        _check_number(f"r0_grid[{k}]", value, _NUMBER)
+    if cfg.sweep_parameter in _SWEEPABLE:
+        allowed = int if _SWEEPABLE[cfg.sweep_parameter] is int else _NUMBER
+        for k, value in enumerate(cfg.sweep_values):
+            _check_number(f"sweep_values[{k}]", value, allowed)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -180,7 +209,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             value = tuple(value)
         coerced[key] = value
     cfg = ExperimentConfig(**coerced)
-    _check_numbers(cfg)
+    _check_types(cfg)
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
     if cfg.trajectories <= 0:
@@ -427,17 +456,6 @@ _RUNNERS = {
     "charge-evolving": run_charge_evolving,
     "phase": run_phase,
     "multiqubit": run_multiqubit,
-}
-
-_SWEEPABLE = {
-    "r0": float,
-    "duration_tau": float,
-    "p_t": float,
-    "phi": float,
-    "gamma": float,
-    "d_tau": float,
-    "n_qubits": int,
-    "trajectories": int,
 }
 
 

@@ -229,37 +229,64 @@ class TwoStepResult:
     second_target: float
 
 
-def two_step_targets(extraction: KrausExtraction, c: float):
-    """Stage data of the two-readout variant: rotations, targets, and the
-    state-1 probabilities of the rotated states at each stage.
+def _stretch(target: float) -> np.ndarray:
+    """Diagonal readout operator diag(e^{target/2}, e^{-target/2}) of a stop at target."""
+    return np.diag([math.exp(0.5 * target), math.exp(-0.5 * target)]).astype(complex)
 
-    Returns (first_target, second_target, p1_stage1, p1_stage2_fn) where
-    p1_stage2_fn maps the normalized post-measurement vector to the
-    stage-2 population; stage states are deterministic on success.
+
+def _two_step_geometry(extraction: KrausExtraction, c: float):
+    """Rotations and readout targets of the two-readout variant.
+
+    Returns (rot1, first_target, rot2, second_target).  The first stop
+    stretches the axis u = v1 + c v2 g/|g| (g = <v2|v1>) until the basis
+    images are orthogonal; when they already are, there is no first stop
+    and rot1 is None.  The second stop equalizes their norms.
     """
     if c <= 0.0:
         raise ValueError("axis parameter c must be positive")
     v1, v2 = extraction.v1, extraction.v2
     overlap = complex(np.vdot(v2, v1))
     if abs(overlap) <= 1e-14 * math.sqrt(extraction.lambda_plus * max(extraction.lambda_minus, 1e-300)):
-        raise ValueError("basis images already orthogonal; use the one-step plan")
-    axis = v1 + c * (overlap / abs(overlap)) * v2
-    rot1 = _rotation_onto_e1(axis)
-    a1 = rot1 @ v1
-    a2 = rot1 @ v2
-    ratio = -(a1[1] * a2[1].conjugate()) / (a1[0] * a2[0].conjugate())
-    first_target = 0.5 * math.log(ratio.real)
-    d1 = np.diag([math.exp(0.5 * first_target), math.exp(-0.5 * first_target)]).astype(complex)
-    w1, w2 = d1 @ a1, d1 @ a2
+        rot1, first_target = None, 0.0
+        w1, w2 = v1, v2
+    else:
+        axis = v1 + c * (overlap / abs(overlap)) * v2
+        rot1 = _rotation_onto_e1(axis)
+        a1 = rot1 @ v1
+        a2 = rot1 @ v2
+        ratio = -(a1[1] * a2[1].conjugate()) / (a1[0] * a2[0].conjugate())
+        if abs(ratio.imag) > 1e-8 * abs(ratio) or ratio.real <= 0.0:
+            raise ValueError("axis did not admit an orthogonalizing stretch")
+        first_target = 0.5 * math.log(ratio.real)
+        d1 = _stretch(first_target)
+        w1, w2 = d1 @ a1, d1 @ a2
+
+    ortho = abs(np.vdot(w2, w1))
+    if ortho > 1e-6 * np.linalg.norm(w1) * np.linalg.norm(w2):
+        raise ValueError("first stop left the basis images non-orthogonal")
     n1, n2 = float(np.linalg.norm(w1)), float(np.linalg.norm(w2))
     rot2 = np.array([(w1 / n1).conjugate(), (w2 / n2).conjugate()])
-    second_target = math.log(n2 / n1)
+    return rot1, first_target, rot2, math.log(n2 / n1)
+
+
+def two_step_targets(extraction: KrausExtraction, c: float):
+    """Stage data of the two-readout variant: targets and the state-1
+    probabilities of the rotated states at each stage.
+
+    Returns (first_target, second_target, stage_populations) where
+    stage_populations maps the normalized post-measurement vector to the
+    populations (p1_stage1, p1_stage2); stage states are deterministic on
+    success.  Already orthogonal basis images give first_target 0.
+    """
+    rot1, first_target, rot2, second_target = _two_step_geometry(extraction, c)
 
     def stage_populations(psi_m_normalized):
-        phi = rot1 @ np.asarray(psi_m_normalized, dtype=complex).reshape(2)
-        phi /= np.linalg.norm(phi)
+        phi = np.asarray(psi_m_normalized, dtype=complex).reshape(2)
+        if rot1 is not None:
+            phi = rot1 @ phi
+            phi /= np.linalg.norm(phi)
         p1_first = abs(phi[0]) ** 2
-        phi2 = rot2 @ (d1 @ phi)
+        phi2 = rot2 @ (_stretch(first_target) @ phi)
         phi2 /= np.linalg.norm(phi2)
         return p1_first, abs(phi2[0]) ** 2
 
@@ -316,50 +343,23 @@ def two_step_uncollapse(
 
     The first readout stretches the axis u = v1 + c v2 g/|g| (g = <v2|v1>)
     until the two basis images become orthogonal; the second equalizes
-    their norms.  Both stops must succeed.  The restored state is still
-    exact, but the success probability is below the optimal bound except
-    at one specific axis.
+    their norms (see ``_two_step_geometry``).  Both stops must succeed.
+    The restored state is still exact, but the success probability is
+    below the optimal bound except at one specific axis.
     """
-    if c <= 0.0:
-        raise ValueError("axis parameter c must be positive")
+    rot1, first_target, rot2, second_target = _two_step_geometry(extraction, c)
     gen = _as_generator(stream)
-    v1, v2 = extraction.v1, extraction.v2
-    overlap = complex(np.vdot(v2, v1))
     phi = _normalized_vector(state_m)
-
-    if abs(overlap) <= 1e-14 * math.sqrt(extraction.lambda_plus * max(extraction.lambda_minus, 1e-300)):
-        rot1 = np.eye(2, dtype=complex)
-        first_target = 0.0
-        w1, w2 = v1.copy(), v2.copy()
-    else:
-        axis = v1 + c * (overlap / abs(overlap)) * v2
-        rot1 = _rotation_onto_e1(axis)
-        a1 = rot1 @ v1
-        a2 = rot1 @ v2
-        s_top = a1[0] * a2[0].conjugate()
-        s_bot = a1[1] * a2[1].conjugate()
-        ratio = -s_bot / s_top
-        if abs(ratio.imag) > 1e-8 * abs(ratio) or ratio.real <= 0.0:
-            raise ValueError("axis did not admit an orthogonalizing stretch")
-        first_target = 0.5 * math.log(ratio.real)
+    if rot1 is not None:
         phi = rot1 @ phi
         p1 = abs(phi[0]) ** 2
         bit = 1 if gen.random() < p1 else 2
         hit, _ = targeted_measurement(bit, first_target, config, gen)
         if not hit:
             return TwoStepResult(False, None, first_target, math.nan)
-        d1 = np.diag([math.exp(0.5 * first_target), math.exp(-0.5 * first_target)]).astype(complex)
-        phi = d1 @ phi
+        phi = _stretch(first_target) @ phi
         phi /= np.linalg.norm(phi)
-        w1, w2 = d1 @ a1, d1 @ a2
 
-    ortho = abs(np.vdot(w2, w1))
-    if ortho > 1e-6 * np.linalg.norm(w1) * np.linalg.norm(w2):
-        raise ValueError("first stop left the basis images non-orthogonal")
-
-    n1, n2 = float(np.linalg.norm(w1)), float(np.linalg.norm(w2))
-    rot2 = np.array([(w1 / n1).conjugate(), (w2 / n2).conjugate()])
-    second_target = math.log(n2 / n1)
     phi = rot2 @ phi
     phi /= np.linalg.norm(phi)
     if second_target != 0.0:
@@ -368,7 +368,6 @@ def two_step_uncollapse(
         hit, _ = targeted_measurement(bit, second_target, config, gen)
         if not hit:
             return TwoStepResult(False, None, first_target, second_target)
-        d2 = np.diag([math.exp(0.5 * second_target), math.exp(-0.5 * second_target)]).astype(complex)
-        phi = d2 @ phi
+        phi = _stretch(second_target) @ phi
         phi /= np.linalg.norm(phi)
     return TwoStepResult(True, phi, first_target, second_target)

@@ -605,13 +605,17 @@ def simulate_evolving_pure(
 
     Integrates the linear (unnormalized) record-conditioned equations by
     symmetric splitting: half-step Hamiltonian unitary, exact one-step
-    readout factor diag(e^{+dr/2}, e^{-dr/2}) built from the sampled
-    record increment dr, half-step unitary.  The two basis states are
-    propagated alongside psi with the same noise, which yields the
-    realized measurement operator of the record.  The divergent squared
+    readout factor D = diag(e^{+dr/2}, e^{-dr/2}) built from the sampled
+    record increment dr, half-step unitary.  The divergent squared
     white-noise constant drops out because only the ratio of the two
     amplitude decay factors enters; the discarded common factor is the
-    tracked rescaling.
+    tracked rescaling exp(log_scale).
+
+    Only the feedback current is sequential: it needs the two mid-step
+    amplitudes, which a scalar loop carries from step to step with the
+    two half-step unitaries between steps fused into one.  The realized
+    operator M = U_half D_{n-1} U_full ... U_full D_0 U_half is then one
+    pairwise product of the stacked factors, and psi = M psi_in.
     """
     psi = np.asarray(psi_in, dtype=complex).reshape(2)
     if abs(np.vdot(psi, psi).real - 1.0) > 1e-10:
@@ -625,44 +629,73 @@ def simulate_evolving_pure(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
     u_half = u2_exp(config.epsilon, config.coupling, 0.5 * dt)
+    u_full = u_half @ u_half
 
     sigma_xi = math.sqrt(params.s_i / (2.0 * dt))
     xi = sigma_xi * gen.standard_normal(n_steps)
     gain = params.delta_i / params.s_i * dt
+    # dr = base + slope * p1 for a state-1 population p1 at mid-step
+    base = gain * (xi + (params.i2 - params.i0))
+    slope = gain * params.delta_i
 
-    # columns: psi, image of |1>, image of |2>
-    y = np.column_stack([psi, np.eye(2, dtype=complex)])
-    log_scale = 0.0
-    delta_r = np.empty(n_steps)
-    for k in range(n_steps):
-        y = u_half @ y
-        a2 = abs(y[0, 0]) ** 2
-        b2 = abs(y[1, 0]) ** 2
-        p1 = a2 / (a2 + b2)
+    (f00, f01), (f10, f11) = u_full.tolist()
+    z0, z1 = (u_half @ psi).tolist()  # mid-step amplitudes of psi
+    delta_r = []
+    for b in base.tolist():
+        a2 = z0.real * z0.real + z0.imag * z0.imag
+        b2 = z1.real * z1.real + z1.imag * z1.imag
+        norm2 = a2 + b2
+        if not 1e-200 <= norm2 <= 1e200:
+            # only population ratios enter the feedback
+            s = 1.0 / math.sqrt(norm2)
+            z0, z1, a2, b2, norm2 = z0 * s, z1 * s, a2 / norm2, b2 / norm2, 1.0
+        dr = b + slope * a2 / norm2
         # one corrector pass: re-estimate the mid-step populations with half
         # the readout factor included, keeping the feedback current accurate
         # to second order in the step
-        for _ in range(2):
-            current = p1 * params.i1 + (1.0 - p1) * params.i2 + xi[k]
-            dr = gain * (current - params.i0)
-            w = a2 * math.exp(0.5 * dr)
-            p1 = w / (w + b2 * math.exp(-0.5 * dr))
-        delta_r[k] = dr
-        half = 0.5 * dr
-        y[0, :] *= math.exp(half)
-        y[1, :] *= math.exp(-half)
-        y = u_half @ y
-        peak = np.max(np.abs(y))
-        if peak > 1e100 or peak < 1e-100:
-            y /= peak
-            log_scale += math.log(peak)
+        dr = b + slope * a2 / (a2 + b2 * math.exp(-dr))
+        delta_r.append(dr)
+        e = math.exp(0.5 * dr)
+        z0, z1 = z0 * e, z1 / e
+        z0, z1 = f00 * z0 + f01 * z1, f10 * z0 + f11 * z1
+
+    delta_r = np.array(delta_r)
+    half = 0.5 * delta_r
+    stretch = np.stack([np.exp(half), np.exp(-half)], axis=1)[:, None, :]
+    factors = np.empty((n_steps + 1, 2, 2), dtype=complex)
+    factors[0] = u_half
+    factors[1:-1] = u_full * stretch[:-1]  # U_full D_k scales the columns
+    factors[-1] = u_half * stretch[-1]
+    matrix, log_scale = _ordered_product(factors)
 
     r_path = np.concatenate([[0.0], np.cumsum(delta_r)])
     record = TrajectoryRecord(
         r_path=r_path, increments=delta_r, status="running", crossing_time=None
     )
-    extraction = KrausExtraction.from_vectors(y[:, 1], y[:, 2], log_scale=log_scale)
-    return EvolvingResult(record=record, psi=y[:, 0].copy(), extraction=extraction)
+    extraction = KrausExtraction.from_vectors(matrix[:, 0], matrix[:, 1], log_scale=log_scale)
+    return EvolvingResult(record=record, psi=matrix @ psi, extraction=extraction)
+
+
+def _ordered_product(factors: np.ndarray) -> tuple[np.ndarray, float]:
+    """factors[-1] @ ... @ factors[0] as (matrix, log_scale), multiplied pairwise.
+
+    Each level multiplies neighbouring pairs at once (an odd last factor
+    waits for the next level); a product whose peak leaves [1e-100, 1e100]
+    is divided by it and the log of the peak goes to log_scale.
+    """
+    log_scale = 0.0
+    while len(factors) > 1:
+        even = len(factors) & ~1
+        paired = factors[1:even:2] @ factors[0:even:2]
+        if even < len(factors):
+            paired = np.concatenate((paired, factors[even:]))
+        peak = np.abs(paired).max(axis=(1, 2))
+        off = (peak > 1e100) | (peak < 1e-100)
+        if off.any():
+            paired[off] /= peak[off, None, None]
+            log_scale += float(np.sum(np.log(peak[off])))
+        factors = paired
+    return factors[0], log_scale
 
 
 def targeted_measurement(

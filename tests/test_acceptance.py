@@ -27,3 +27,16 @@ def _check(result):
 def test_criterion(index):
     fn = acceptance._CRITERIA.get(index, acceptance.criterion_10)
     _check(fn(acceptance.DEFAULT_SEED, 1.0, 1))
+
+
+def test_criterion_4_passes_at_cli_default_seed():
+    # seed 1 (the CLI default) draws a record whose plan succeeds with
+    # probability 0.0027; the attempt cap must come from that probability
+    _check(acceptance.criterion_4(1, 1.0, 1))
+
+
+def test_attempt_cap_misses_with_tiny_probability():
+    for p in (0.0027, 0.3, 0.999):
+        cap = acceptance._attempt_cap(p)
+        assert (1.0 - p) ** cap <= 1e-9 < (1.0 - p) ** (cap - 1)
+    assert acceptance._attempt_cap(1.0) == 1

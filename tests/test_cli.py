@@ -269,6 +269,45 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, config):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep", {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [[1]]}),
+        ("sweep", {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [True]}),
+        ("sweep", {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [1.0, "2"]}),
+        ("sweep", {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [float("inf")]}),
+        ("sweep", {"kind": "multiqubit", "sweep_parameter": "n_qubits", "sweep_values": [2, 2.5]}),
+        ("sweep", {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": 1.0}),
+        ("sweep", {"kind": "charge-total", "sweep_parameter": ["duration_tau"], "sweep_values": [1.0]}),
+        ("run", {"kind": "analytics", "r0_grid": ["a", 1]}),
+        ("run", {"kind": "analytics", "r0_grid": [1.0, float("nan")]}),
+        ("run", {"kind": "analytics", "r0_grid": 1.0}),
+        ("run", {"kind": ["phase"]}),
+        ("run", {"kind": "phase", "out": 5}),
+        ("run", {"kind": "phase", "format": None}),
+    ],
+    ids=["sweep-nested", "sweep-bool", "sweep-str", "sweep-inf", "sweep-int-2.5", "sweep-scalar",
+         "parameter-list", "r0_grid-str", "r0_grid-nan", "r0_grid-scalar", "kind-list", "out-int",
+         "format-null"],
+)
+def test_bad_elements_and_strings_exit_2(tmp_path, capsys, command, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trajectories": 100, **config}))
+    assert run_cli([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_integer_values_sweep_a_float_parameter(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({
+        "kind": "charge-total", "trajectories": 100, "sweep_parameter": "duration_tau",
+        "sweep_values": [1, 2.5], "out": str(tmp_path / "o"),
+    }))
+    assert run_cli(["sweep", "--config", str(path)]) == cli.EXIT_OK
+
+
 def test_optional_numbers_accept_null():
     cfg = cli.config_from_dict({"tau_max": None, "escape_radius": None})
     assert cfg.trajectory_config().escape_radius is None

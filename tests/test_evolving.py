@@ -226,3 +226,31 @@ def test_two_step_rejects_nonpositive_axis():
     ext = simulated_extraction(26)
     with pytest.raises(ValueError):
         ev.two_step_uncollapse(ext, np.array([1.0, 0.0]), -1.0, WALK, tj.NoiseStream(1, 0))
+    with pytest.raises(ValueError):
+        ev.two_step_ensemble(ext, np.array([1.0, 0.0]), 0.0, 100, WALK, seed=1)
+
+
+def test_two_step_orthogonal_images_skip_the_first_stop(rng):
+    # orthogonal images of unequal norm: no first stop, and the ensemble
+    # takes the same geometry as the single run
+    u = random_unitary(rng, 2)
+    ext = tj.KrausExtraction.from_vectors(0.9 * u[:, 0], 0.5 * u[:, 1])
+    first, second, stage_populations = ev.two_step_targets(ext, 1.0)
+    assert first == 0.0 and second == pytest.approx(math.log(0.5 / 0.9), abs=1e-12)
+    psi_in = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    psi_in /= np.linalg.norm(psi_in)
+    psi_m = ext.matrix @ psi_in
+    psi_m /= np.linalg.norm(psi_m)
+    _, p1 = stage_populations(psi_m)
+    exact = p1 * charge.crossing_probability(1, -second) + (1.0 - p1) * charge.crossing_probability(2, -second)
+    n = 20_000
+    hits = ev.two_step_ensemble(ext, psi_m, 1.0, n, WALK, seed=57)
+    assert stats.bernoulli_estimate(hits, n).contains(exact)
+    for attempt in range(50):
+        out = ev.two_step_uncollapse(ext, psi_m, 1.0, WALK, tj.NoiseStream(78, attempt))
+        assert out.first_target == 0.0 and out.second_target == second
+        if out.success:
+            assert abs(np.vdot(out.restored, psi_in)) == pytest.approx(1.0, abs=1e-10)
+            break
+    else:
+        raise AssertionError("two-step reversal never succeeded")

@@ -325,16 +325,18 @@ def test_evolving_second_order_for_given_record():
     assert all(o > 1.8 for o in orders), (errs, orders)
 
 
+class LoudGen:
+    """Huge constant noise: drives the amplitudes past the rescaling threshold."""
+
+    def standard_normal(self, k):
+        return np.full(k, 60.0)
+
+    def random(self, k=None):
+        raise RuntimeError("unused")
+
+
 def test_evolving_rescale_guard():
-    # huge injected noise drives the amplitudes past the rescaling
-    # threshold; the tracked common factor keeps the extraction consistent
-    class LoudGen:
-        def standard_normal(self, k):
-            return np.full(k, 60.0)
-
-        def random(self, k=None):
-            raise RuntimeError("unused")
-
+    # the tracked common factor keeps the extraction consistent
     cfg = tj.TrajectoryConfig(d_tau=1e-3)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     out = tj.simulate_evolving_pure(psi, 0.4, PARAMS, cfg, LoudGen())
@@ -342,6 +344,73 @@ def test_evolving_rescale_guard():
     assert np.all(np.isfinite(out.extraction.matrix))
     combo = psi[0] * out.extraction.v1 + psi[1] * out.extraction.v2
     assert np.max(np.abs(combo - out.psi)) <= 1e-10 * np.max(np.abs(out.psi))
+
+
+
+def _reference_evolving(psi_in, duration_tau, params, config, gen):
+    """Step loop on the (psi, |1>, |2>) columns, as simulate_evolving_pure ran
+    before the scalar feedback loop; returns (psi, matrix, log_scale, delta_r)."""
+    from uncollapse.linalg import u2_exp
+
+    psi = np.asarray(psi_in, dtype=complex).reshape(2)
+    dt = config.d_tau * params.t_m
+    n_steps = int(round(duration_tau / config.d_tau))
+    u_half = u2_exp(config.epsilon, config.coupling, 0.5 * dt)
+
+    sigma_xi = math.sqrt(params.s_i / (2.0 * dt))
+    xi = sigma_xi * gen.standard_normal(n_steps)
+    gain = params.delta_i / params.s_i * dt
+
+    # columns: psi, image of |1>, image of |2>
+    y = np.column_stack([psi, np.eye(2, dtype=complex)])
+    log_scale = 0.0
+    delta_r = np.empty(n_steps)
+    for k in range(n_steps):
+        y = u_half @ y
+        a2 = abs(y[0, 0]) ** 2
+        b2 = abs(y[1, 0]) ** 2
+        p1 = a2 / (a2 + b2)
+        for _ in range(2):
+            current = p1 * params.i1 + (1.0 - p1) * params.i2 + xi[k]
+            dr = gain * (current - params.i0)
+            w = a2 * math.exp(0.5 * dr)
+            p1 = w / (w + b2 * math.exp(-0.5 * dr))
+        delta_r[k] = dr
+        half = 0.5 * dr
+        y[0, :] *= math.exp(half)
+        y[1, :] *= math.exp(-half)
+        y = u_half @ y
+        peak = np.max(np.abs(y))
+        if peak > 1e100 or peak < 1e-100:
+            y /= peak
+            log_scale += math.log(peak)
+    return y[:, 0], y[:, 1:], log_scale, delta_r
+
+
+def test_evolving_matches_reference_loop(rng):
+    cases = [
+        (tj.TrajectoryConfig(d_tau=1e-3, epsilon=float(rng.uniform(-2.0, 2.0)),
+                             coupling=float(rng.uniform(-2.0, 2.0))), 0.6, tj.NoiseStream(64, k))
+        for k in range(12)
+    ]
+    cases.append((tj.TrajectoryConfig(d_tau=2e-3, epsilon=0.7, coupling=1.2), 3.0, tj.NoiseStream(65, 0)))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3), 0.5, tj.NoiseStream(66, 0)))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.4, LoudGen()))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.001, tj.NoiseStream(67, 0)))
+    for cfg, duration, noise in cases:
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi /= np.linalg.norm(psi)
+        out = tj.simulate_evolving_pure(psi, duration, PARAMS, cfg, noise)
+        ref_psi, ref_m, ref_log, ref_dr = _reference_evolving(psi, duration, PARAMS, cfg, tj._as_generator(noise))
+        assert np.max(np.abs(out.record.increments - ref_dr)) <= 1e-13
+        m = out.extraction.matrix * math.exp(out.extraction.log_scale - ref_log)
+        assert np.max(np.abs(m - ref_m)) <= 1e-11 * np.max(np.abs(ref_m))
+        got = out.psi / np.linalg.norm(out.psi)
+        assert np.max(np.abs(got - ref_psi / np.linalg.norm(ref_psi))) <= 1e-11
+        if cfg.epsilon == cfg.coupling == 0.0:
+            assert out.extraction.matrix[0, 1] == 0.0 and out.extraction.matrix[1, 0] == 0.0
+        if isinstance(noise, LoudGen):
+            assert out.extraction.log_scale > 0.0 and ref_log > 0.0
 
 
 def test_total_uncollapse_sampler_matches_erf_law():
