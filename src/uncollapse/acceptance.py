@@ -11,6 +11,7 @@ any worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -471,6 +472,7 @@ def criterion_8(seed: int, scale: float, workers: int) -> CriterionResult:
     return res
 
 
+@functools.lru_cache(maxsize=8)  # criterion 10 asks twice with identical arguments
 def brute_force_crossing(
     r0: float, drift: float, n_walkers: int, d_tau: float, seed: int,
     escape: float = 4.5, tau_max: float = 12.0,

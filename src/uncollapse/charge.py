@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc, erfcx
 
 from .measurement import QuantumState
 
@@ -122,10 +121,14 @@ def uncollapse_success_probability(state: QuantumState, r0: float) -> float:
     if state.dim != 2:
         raise ValueError("defined for a single qubit")
     p1, p2 = state.rho[0, 0].real, state.rho[1, 1].real
-    denom = p1 * math.exp(r0 + abs(r0)) + p2 * math.exp(-r0 + abs(r0))
-    if denom == 0.0 or math.isinf(denom):
-        return 0.0
-    return min(1.0, 1.0 / denom)
+    # populations of the state drifting away from zero and of the one toward it
+    p_away, p_toward = (p1, p2) if r0 >= 0.0 else (p2, p1)
+    if p_away <= 0.0:
+        return min(1.0, 1.0 / p_toward)
+    # exponents shifted by |r0| as in qnd_posterior: w underflows to 0 for
+    # strong readouts where exp(2|r0|) would overflow
+    w = math.exp(-2.0 * abs(r0))
+    return min(1.0, w / (p_away + p_toward * w))
 
 
 def crossing_probability(state_index: int, r0: float) -> float:
@@ -222,8 +225,38 @@ def waiting_time_pdf(t, r0: float, t_m: float = 1.0):
     return out if out.ndim else float(out)
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _erfc(x) -> np.ndarray:
+    """Complementary error function, elementwise; a float array, 0-d for a scalar."""
+    return np.asarray(_ERFC(x), dtype=float)
+
+
+def _erfcx_scalar(z: float) -> float:
+    if z < 26.0:
+        return math.exp(z * z) * math.erfc(z)
+    # exp(z^2) overflows near z = 26.6; six terms of the asymptotic series
+    # leave a relative error below 1e-15 from z = 26 up (Cody 1969,
+    # Math. Comp. 23:631, for more accuracy)
+    w = 1.0 / (2.0 * z * z)
+    term = total = 1.0
+    for k in range(1, 6):
+        term *= -(2 * k - 1) * w
+        total += term
+    return total / (z * math.sqrt(math.pi))
+
+
+_ERFCX = np.frompyfunc(_erfcx_scalar, 1, 1)
+
+
+def _erfcx(z) -> np.ndarray:
+    """Scaled complementary error function exp(z^2) erfc(z), elementwise, for z > 0."""
+    return np.asarray(_ERFCX(z), dtype=float)
+
+
 def _normal_cdf(x):
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def waiting_time_cdf(t, r0: float, t_m: float = 1.0):
@@ -243,7 +276,7 @@ def waiting_time_cdf(t, r0: float, t_m: float = 1.0):
     first = _normal_cdf((tau - a) / sq)
     # exp(2a) * Phi(-(tau+a)/sqrt(tau)) rewritten via erfcx for stability
     z = (tau + a) / (math.sqrt(2.0) * sq)
-    second = 0.5 * erfcx(z) * np.exp(-((tau - a) ** 2) / (2.0 * tau))
+    second = 0.5 * _erfcx(z) * np.exp(-((tau - a) ** 2) / (2.0 * tau))
     out = np.where(t > 0.0, np.clip(first + second, 0.0, 1.0), 0.0)
     return out if out.ndim else float(out)
 
@@ -270,5 +303,6 @@ def total_success_probability(t, t_m: float = 1.0):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("duration must be nonnegative")
-    out = 1.0 - erf(np.sqrt(t / (2.0 * t_m)))
+    # erfc rather than 1 - erf: the large-t tail does not cancel
+    out = _erfc(np.sqrt(t / (2.0 * t_m)))
     return out if out.ndim else float(out)

@@ -171,6 +171,15 @@ _SWEEPABLE = {
 
 _STRING_FIELDS = ("kind", "out", "format", "sweep_parameter")
 
+# untrusted sizes are bounded at config load, before anything is allocated
+_SIZE_BOUNDS = {"trajectories": (1, 10**9), "tau_grid_points": (1, 1_000_000)}
+
+
+def _check_size(name: str, value: int) -> None:
+    low, high = _SIZE_BOUNDS[name]
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must be between {low} and {high}, got {value}")
+
 
 def _check_number(name: str, value, allowed) -> None:
     if isinstance(value, bool) or not isinstance(value, allowed):
@@ -195,6 +204,8 @@ def _check_types(cfg: ExperimentConfig) -> None:
         allowed = int if _SWEEPABLE[cfg.sweep_parameter] is int else _NUMBER
         for k, value in enumerate(cfg.sweep_values):
             _check_number(f"sweep_values[{k}]", value, allowed)
+            if cfg.sweep_parameter in _SIZE_BOUNDS:
+                _check_size(cfg.sweep_parameter, value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -212,8 +223,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_types(cfg)
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    if cfg.trajectories <= 0:
-        raise ConfigError("trajectories must be positive")
+    for name in _SIZE_BOUNDS:
+        _check_size(name, getattr(cfg, name))
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
     if cfg.format not in ("csv", "json"):

@@ -34,7 +34,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -367,6 +366,8 @@ def _run_blocks(block_fn, args_list, workers: int):
     workers = min(workers, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [block_fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # lazily: serial runs never load it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(block_fn, args_list))
 

@@ -40,3 +40,12 @@ def test_attempt_cap_misses_with_tiny_probability():
         cap = acceptance._attempt_cap(p)
         assert (1.0 - p) ** cap <= 1e-9 < (1.0 - p) ** (cap - 1)
     assert acceptance._attempt_cap(1.0) == 1
+
+
+def test_criterion_10_reuses_the_oracle_result():
+    # both sides of criterion 10 ask the oracle the same question; the
+    # second answer comes from the per-process cache
+    before = acceptance.brute_force_crossing.cache_info().hits
+    result = acceptance.criterion_10(acceptance.DEFAULT_SEED, 1.0, 1)
+    assert result.passed
+    assert acceptance.brute_force_crossing.cache_info().hits - before >= 1

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from uncollapse import charge
@@ -96,6 +100,24 @@ def test_uncollapse_success_probability_values():
     assert charge.uncollapse_success_probability(diag_state(0.5), -60.0) == pytest.approx(0.0)
 
 
+def test_uncollapse_success_probability_strong_readouts():
+    def unshifted(state, r0):
+        # the direct form, finite while exp(2|r0|) is
+        p1, p2 = state.rho[0, 0].real, state.rho[1, 1].real
+        return min(1.0, 1.0 / (p1 * math.exp(r0 + abs(r0)) + p2 * math.exp(-r0 + abs(r0))))
+
+    states = [diag_state(0.5), diag_state(0.3), superposition(0.8), diag_state(1.0), diag_state(0.0)]
+    for state in states:
+        for r0 in (0.0, 1.0, -1.0, 300.0, -300.0):
+            value = charge.uncollapse_success_probability(state, r0)
+            assert value == pytest.approx(unshifted(state, r0), rel=1e-12, abs=0.0)
+    for r0 in (400.0, -400.0, 1e6):
+        assert charge.uncollapse_success_probability(diag_state(0.5), r0) == 0.0
+    # only the state drifting back toward zero is populated: always undone
+    assert charge.uncollapse_success_probability(diag_state(0.0), 400.0) == 1.0
+    assert charge.uncollapse_success_probability(diag_state(1.0), -400.0) == 1.0
+
+
 def test_crossing_probability_cases():
     assert charge.crossing_probability(2, 1.0) == pytest.approx(1.0)
     assert charge.crossing_probability(1, 1.0) == pytest.approx(math.exp(-2.0))
@@ -173,6 +195,60 @@ def test_waiting_time_cdf_matches_quadrature():
         for t in (0.2, 1.0, 2.5):
             numeric = integrate(lambda u: charge.waiting_time_pdf(u, r0), 1e-12, t)
             assert charge.waiting_time_cdf(t, r0) == pytest.approx(numeric, abs=1e-8)
+
+
+def _scipy_waiting_time_cdf(t, r0):
+    tau, a = np.asarray(t, dtype=float), abs(r0)
+    sq = np.sqrt(tau)
+    first = special.ndtr((tau - a) / sq)
+    second = 0.5 * special.erfcx((tau + a) / (math.sqrt(2.0) * sq)) * np.exp(-((tau - a) ** 2) / (2.0 * tau))
+    return np.clip(first + second, 0.0, 1.0)
+
+
+def test_waiting_time_cdf_matches_scipy_form():
+    for r0 in (0.01, 1.0, 20.0, 400.0):
+        t = np.concatenate([r0 * np.linspace(0.02, 3.0, 150), np.logspace(-3, 3, 61)])
+        assert np.max(np.abs(charge.waiting_time_cdf(t, r0) - _scipy_waiting_time_cdf(t, r0))) < 1e-12
+
+
+_Z_GRID = np.concatenate([np.linspace(-5.0, 30.0, 3501), np.logspace(np.log10(30.0), 8.0, 10_000)])
+
+
+def _max_rel_error(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    # scipy flushes subnormal results to zero, math.erfc keeps them
+    keep = theirs >= np.finfo(float).tiny
+    assert np.all(ours[~keep] < np.finfo(float).tiny)
+    return float(np.max(np.abs(ours[keep] - theirs[keep]) / theirs[keep]))
+
+
+def test_error_functions_match_scipy():
+    assert _max_rel_error(charge._erfc(_Z_GRID), special.erfc(_Z_GRID)) < 2e-13
+    positive = _Z_GRID[_Z_GRID > 0.0]
+    assert _max_rel_error(charge._erfcx(positive), special.erfcx(positive)) < 2e-13
+    # both sides of the switch to the asymptotic series
+    seam = np.array([np.nextafter(26.0, 0.0), 26.0])
+    assert _max_rel_error(charge._erfcx(seam), special.erfcx(seam)) < 2e-13
+    t = 2.0 * positive**2
+    total = charge.total_success_probability(t)
+    assert _max_rel_error(total, special.erfc(positive)) < 2e-13
+
+
+def test_closed_forms_return_float_for_scalars():
+    for t in (1.5, np.float64(1.5), np.array(1.5)):
+        assert type(charge.total_success_probability(t)) is float
+        assert type(charge.waiting_time_cdf(t, 1.0)) is float
+    assert charge._erfc(1.0).shape == () and charge._erfcx(30.0).shape == ()
+
+
+def test_cli_import_loads_no_scipy_and_no_process_pool():
+    package_root = str(Path(charge.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import uncollapse.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_waiting_time_moments():

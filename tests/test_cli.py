@@ -256,9 +256,15 @@ def test_multiqubit_bad_config_exits_2(tmp_path, capsys, field, value):
         {"kind": "charge-total", "trajectories": 100, "duration_tau": -1},
         {"kind": "charge-qnd", "trajectories": 100, "r0": float("nan")},
         {"kind": "charge-evolving", "trajectories": 100, "detector": {"i1": 1.0, "i2": 1.0, "s_i": 0.04}},
+        # analytics with an empty r0 grid allocates nothing, even were a bound missing
+        {"kind": "analytics", "r0_grid": [], "tau_grid_points": 0},
+        {"kind": "analytics", "r0_grid": [], "tau_grid_points": -1},
+        {"kind": "analytics", "r0_grid": [], "tau_grid_points": 10**11},
+        {"kind": "analytics", "r0_grid": [], "trajectories": 10**13},
     ],
     ids=["trajectories-abc", "trajectories-2.5", "workers-str", "seed-str", "p_t-1.5",
-         "duration_tau-neg", "r0-nan", "i1-eq-i2"],
+         "duration_tau-neg", "r0-nan", "i1-eq-i2", "tau_grid_points-0", "tau_grid_points-neg",
+         "tau_grid_points-1e11", "trajectories-1e13"],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "bad.json"
@@ -297,6 +303,29 @@ def test_bad_elements_and_strings_exit_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_size_bounds_are_inclusive():
+    for name, (low, high) in (("trajectories", (1, 10**9)), ("tau_grid_points", (1, 10**6))):
+        assert getattr(cli.config_from_dict({name: low}), name) == low
+        assert getattr(cli.config_from_dict({name: high}), name) == high
+        for bad in (low - 1, high + 1):
+            with pytest.raises(cli.ConfigError, match=name):
+                cli.config_from_dict({name: bad})
+    sweep = {"kind": "charge-total", "sweep_parameter": "trajectories"}
+    assert cli.config_from_dict({**sweep, "sweep_values": [1, 10**9]}).sweep_values == (1, 10**9)
+    with pytest.raises(cli.ConfigError, match="trajectories"):
+        cli.config_from_dict({**sweep, "sweep_values": [100, 10**13]})
+
+
+def test_run_charge_qnd_strong_readout(tmp_path):
+    # exp(2 r0) overflows a float; the reference underflows to 0 instead
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "charge-qnd", "r0": 400, "trajectories": 1000}))
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    rows = {row["label"]: row for row in json.loads((tmp_path / "o" / "summary.json").read_text())["rows"]}
+    assert rows["success_rate"]["reference"] == 0.0
+    assert rows["success_rate"]["value"] == 0.0
 
 
 def test_integer_values_sweep_a_float_parameter(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -444,7 +445,7 @@ def test_pool_size_bounded_by_blocks_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(tj, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     state = diag_state(0.5)
     n = 3 * tj.BLOCK_SIZE
     serial = tj.sample_total_uncollapse(state, 1.0, n, seed=21)
