@@ -143,11 +143,13 @@ class PovmSet:
 
 @dataclass(frozen=True)
 class UncollapseOperator:
-    """Reversal operator L = |C| U_L E^{-1/2} V_L for a measurement with element E."""
+    """Reversal operator L = |C| E^{-1/2} for a measurement with element E.
+
+    The general reversal |C| U_L E^{-1/2} V_L admits any unitaries U_L and
+    V_L; both are the identity here, so the undo is U_m† followed by L.
+    """
 
     matrix: np.ndarray
-    left_unitary: np.ndarray
-    right_unitary: np.ndarray
     magnitude: float
     source_element: np.ndarray = field(repr=False)
 
@@ -246,9 +248,9 @@ def _restricted_minimum(eig: HermEig, support: np.ndarray | None, element: np.nd
 def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     """Optimal reversal operator for the outcome M, with |C| = sqrt(min eig M†M).
 
-    The three-step undo is: apply V_L† U_m† (U_m from the polar form of M),
-    then realize L as a measurement outcome, then apply U_L†.  Projective
-    inputs (minimum eigenvalue at or below the threshold) cannot be undone.
+    The undo is: apply U_m† (U_m from the polar form of M), then realize
+    L as a measurement outcome.  Projective inputs (minimum eigenvalue at
+    or below the threshold) cannot be undone.
     """
     element = op.povm_element()
     eig = herm_eig(element)
@@ -261,14 +263,7 @@ def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     inv_sqrt = (eig.vectors * (eig.values ** -0.5)) @ eig.vectors.conj().T
     l = magnitude * inv_sqrt
     l = 0.5 * (l + l.conj().T)
-    identity = np.eye(op.dim, dtype=complex)
-    return UncollapseOperator(
-        matrix=l,
-        left_unitary=identity,
-        right_unitary=identity,
-        magnitude=magnitude,
-        source_element=element,
-    )
+    return UncollapseOperator(matrix=l, magnitude=magnitude, source_element=element)
 
 
 def success_probability_bound(
@@ -319,8 +314,7 @@ def _undo_success_probability(
     """Success probability of the undo step, computed by propagation."""
     rho_m, _ = apply_measurement(op, state)
     u_m = polar_decompose(op).unitary
-    rot = unc.right_unitary.conj().T @ u_m.conj().T
-    rho_rotated = rot @ rho_m.rho @ rot.conj().T
+    rho_rotated = u_m.conj().T @ rho_m.rho @ u_m
     l = unc.matrix
     return float(np.trace(l.conj().T @ l @ rho_rotated).real)
 
@@ -347,7 +341,7 @@ def pair_update(
 def measure_and_uncollapse(
     op: KrausOperator, state: QuantumState, unc: UncollapseOperator | None = None
 ) -> tuple[QuantumState, float, float]:
-    """Apply M, then the three-step optimal reversal.
+    """Apply M, then the optimal reversal: U_m†, then the outcome L.
 
     Returns (restored state, outcome probability, undo success probability).
     The restored state coincides with the input for any invertible M.
@@ -356,13 +350,7 @@ def measure_and_uncollapse(
         unc = build_uncollapse(op)
     rho_m, p_outcome = apply_measurement(op, state)
     u_m = polar_decompose(op).unitary
-    pre = unc.right_unitary.conj().T @ u_m.conj().T
-    rotated = QuantumState(
-        rho=0.5 * ((pre @ rho_m.rho @ pre.conj().T) + (pre @ rho_m.rho @ pre.conj().T).conj().T),
-        pure=rho_m.pure,
-    )
+    rotated = u_m.conj().T @ rho_m.rho @ u_m
+    rotated = QuantumState(rho=0.5 * (rotated + rotated.conj().T), pure=rho_m.pure)
     after_l, p_success = apply_measurement(KrausOperator(unc.matrix, label="undo"), rotated)
-    post = unc.left_unitary.conj().T
-    rho_f = post @ after_l.rho @ post.conj().T
-    rho_f = 0.5 * (rho_f + rho_f.conj().T)
-    return QuantumState(rho=rho_f, pure=state.pure), p_outcome, p_success
+    return QuantumState(rho=after_l.rho, pure=state.pure), p_outcome, p_success

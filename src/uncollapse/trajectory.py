@@ -9,23 +9,24 @@ walkers are processed in fixed-size blocks, block b consuming stream
 
 Dimensionless units throughout: time in units of the measurement time
 T_M, so the readout r performs a random walk with diffusion 1/2 and
-drift +1 or -1 depending on the qubit basis state.  Crossing detection
-uses exact Gaussian increments plus the exact Brownian-bridge crossing
-probability exp(-2 x_a x_b / dtau) inside each step, so first-passage
-*probabilities* carry no time-step bias at any dtau; only the recorded
-crossing times are quantized at the step scale.
+drift +1 or -1 depending on the qubit basis state.
 
-One kernel, ``_walk``, runs every absorbing walk, single or ensemble.  It
+Reversal ensembles and ``targeted_measurement`` walk no step: a walker
+drifting away from its stop reaches it with probability exp(-2|x0|),
+drawn once, and conditioned on arriving it drifts toward the stop
+(Doob's h-transform).  A walker drifting toward the stop arrives after
+an inverse Gaussian time with mean |x0| and shape x0^2, drawn exactly,
+so their stop times carry no time-step bias.
+
+Only ``simulate_qnd`` (hence the single-trajectory ``wait_and_stop``) and
+``run_first_passage_ensemble`` walk, through one kernel, ``_walk``.  It
 steps in time chunks of k = min(max(1, 4096 // live), steps left) steps
 for all live walkers at once: a lone walker draws 4096 steps per chunk, a
 crowd of 4096 or more one step, and a thinning tail ever longer chunks.
-
-Reversal ensembles and ``targeted_measurement`` never walk a walker that
-drifts away from the boundary: its fate is drawn once against its
-crossing probability exp(-2|x0|), and the crossers walk with the drift
-reversed, which is their exact conditioned law (Doob's h-transform).
-Only ``run_first_passage_ensemble`` and ``simulate_qnd`` (hence the
-single-trajectory ``wait_and_stop``) walk the raw drift.
+Crossing detection uses exact Gaussian increments plus the exact
+Brownian-bridge crossing probability exp(-2 x_a x_b / dtau) inside each
+step, so its first-passage *probabilities* carry no time-step bias at any
+dtau; only its crossing times are quantized at the step scale.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ class TrajectoryConfig:
     ``run_first_passage_ensemble``): a walker whose readout has drifted
     that far out is declared failed, and the forfeited crossing
     probability, at most exp(-2 escape_radius) per walker, is reported.
-    Reversal ensembles and ``targeted_measurement`` draw the away-drift
-    fate exactly and walk only toward the boundary, so they forfeit
-    nothing to it; their only declared failure is ``tau_max``, which
-    defaults to 100 * (|r0| + 1) when not set.
+    Reversal ensembles and ``targeted_measurement`` walk no step: they
+    draw the away-drift fate and the stop time exactly, so ``d_tau`` and
+    ``escape_radius`` do not affect them.  Their only declared failure is
+    a drawn stop time past ``tau_max``, an exact cut, which defaults to
+    100 * (|r0| + 1) when not set.
     """
 
     d_tau: float = 1e-3
@@ -286,13 +288,31 @@ def _crossers(gen: np.random.Generator, x0: float, drift: float, count: int) -> 
     returned as given.  A walker drifting away (drift v > 0) reaches it
     with probability exp(-2 v x0), drawn here once per walker.  Conditioned
     on reaching it, Brownian motion with drift +v is Brownian motion with
-    drift -v (Doob's h-transform, h(x) = exp(-2 v x)), so the crossers walk
+    drift -v (Doob's h-transform, h(x) = exp(-2 v x)), so the crossers move
     with the reversed drift and P(T < tau_max) = exp(-2 v x0) P_{-v}(T < tau_max).
     """
     if drift <= 0.0:
         return count, drift
     p_cross = math.exp(-2.0 * drift * x0)
     return int(np.count_nonzero(gen.random(count) < p_cross)), -drift
+
+
+def _stop_times(gen: np.random.Generator, x0: float, drift: float, count: int,
+                config: TrajectoryConfig) -> tuple[int, int, np.ndarray]:
+    """Exact first passage to 0 of `count` walkers from x0 > 0: (hits, timed out, times).
+
+    After the fate draw of ``_crossers`` every crosser drifts toward 0 at
+    speed v = |drift|, so it arrives after an inverse Gaussian time with
+    mean x0 / v and shape x0^2 (``Generator.wald``, the method of Michael,
+    Schucany & Haas 1976), drawn as x0 / v times one of mean 1 and shape
+    x0 v so that no x0 > 0 underflows the shape.  A crosser whose time
+    exceeds tau_max times out.
+    """
+    crossers, toward = _crossers(gen, x0, drift, count)
+    v = abs(toward)
+    times = x0 / v * gen.wald(1.0, x0 * v, crossers)
+    times = times[times <= config.resolved_tau_max(x0)]
+    return times.size, crossers - times.size, times
 
 
 def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stream) -> TrajectoryRecord:
@@ -439,12 +459,11 @@ def _wait_and_stop_block(args):
     sign = 1.0 if r0 > 0.0 else -1.0
     crossed, timed_out, times = 0, 0, [np.empty(0)]
     for group_count, true_state in ((n1, 1), (n2, 2)):
-        walkers, drift = _crossers(gen, abs(r0), DRIFT[true_state] * sign, group_count)
-        if walkers:
-            walk = _walk(gen, abs(r0), drift, walkers, config, collect_times)
-            crossed += walk.crossed
-            timed_out += walk.timed_out
-            times.append(walk.times)
+        hits, late, group_times = _stop_times(gen, abs(r0), DRIFT[true_state] * sign, group_count, config)
+        crossed += hits
+        timed_out += late
+        if collect_times:
+            times.append(group_times)
     return crossed, n1, np.concatenate(times), timed_out
 
 
@@ -462,8 +481,8 @@ def wait_and_stop_ensemble(
     """Ensemble of wait-and-stop reversal attempts after a readout r0.
 
     Per block, the true bit of each walker is sampled from the updated
-    populations, then both drift groups run on the block's stream; the
-    group drifting away from 0 walks only its crossers (see ``_crossers``).
+    populations, then both drift groups draw their fates and stop times
+    on the block's stream (see ``_stop_times``).
     """
     if state.dim != 2:
         raise ValueError("wait-and-stop reversal is defined for a single qubit")
@@ -499,9 +518,7 @@ def _targeted_block(args):
     sign = 1.0 if target_r > 0.0 else -1.0
     hits = 0
     for group_count, true_state in ((n1, 1), (n2, 2)):
-        walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, group_count)
-        if walkers:
-            hits += _walk(gen, abs(target_r), drift, walkers, config).crossed
+        hits += _stop_times(gen, abs(target_r), -DRIFT[true_state] * sign, group_count, config)[0]
     return hits
 
 
@@ -518,8 +535,8 @@ def targeted_ensemble(
     """Count of runs whose readout reaches target_r from 0.
 
     Each run's true bit is 1 with probability p_state1; the walk drifts
-    toward the target for one bit value and away for the other, and only
-    the away runs bound to arrive are walked (see ``_crossers``).
+    toward the target for one bit value and away for the other; fates and
+    arrival times are drawn exactly (see ``_stop_times``).
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -705,10 +722,9 @@ def targeted_measurement(
     """Wait-and-stop readout that stops when the record reaches target_r.
 
     The record starts at 0; hitting the (nonzero) target realizes the
-    diagonal operator diag(e^{target/2}, e^{-target/2}) exactly.  Against
-    the drift, whether the record ever arrives is drawn once and only an
-    arriving record is walked (see ``_crossers``).  Returns (hit, waiting
-    time in units of T_M).
+    diagonal operator diag(e^{target/2}, e^{-target/2}) exactly.  Whether
+    and when the record arrives are drawn exactly (see ``_stop_times``).
+    Returns (hit, waiting time in units of T_M).
     """
     if true_state not in (1, 2):
         raise ValueError("true_state must be 1 or 2")
@@ -716,9 +732,6 @@ def targeted_measurement(
         return True, 0.0
     gen = _as_generator(stream)
     sign = 1.0 if target_r > 0.0 else -1.0
-    # fold onto the standard absorbing walk: x = target - r, drift flips sign
-    walkers, drift = _crossers(gen, abs(target_r), -DRIFT[true_state] * sign, 1)
-    if not walkers:
-        return False, None
-    walk = _walk(gen, abs(target_r), drift, 1, config, collect_times=True)
-    return bool(walk.crossed), (float(walk.times[0]) if walk.crossed else None)
+    # fold onto the standard first passage: x = target - r, drift flips sign
+    hits, _, times = _stop_times(gen, abs(target_r), -DRIFT[true_state] * sign, 1, config)
+    return bool(hits), (float(times[0]) if hits else None)

@@ -328,6 +328,15 @@ def test_run_charge_qnd_strong_readout(tmp_path):
     assert rows["success_rate"]["value"] == 0.0
 
 
+def test_run_charge_qnd_weak_readout(tmp_path):
+    # r0 squared underflows a float; the stop times are still drawn
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "charge-qnd", "r0": 1e-170, "trajectories": 1000}))
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    rows = {row["label"]: row for row in json.loads((tmp_path / "o" / "summary.json").read_text())["rows"]}
+    assert rows["success_rate"]["value"] == 1.0
+
+
 def test_integer_values_sweep_a_float_parameter(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps({

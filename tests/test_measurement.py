@@ -97,13 +97,7 @@ def test_uncollapse_composition_is_constant(rng):
         op = random_invertible_kraus(rng)
         unc = qm.build_uncollapse(op)
         u_m = qm.polar_decompose(op).unitary
-        net = (
-            unc.left_unitary.conj().T
-            @ unc.matrix
-            @ unc.right_unitary.conj().T
-            @ u_m.conj().T
-            @ op.matrix
-        )
+        net = unc.matrix @ u_m.conj().T @ op.matrix
         assert max_abs(net - unc.magnitude * np.eye(2)) <= 1e-9
 
 

@@ -33,7 +33,8 @@ def test_simulate_qnd_bit_identical_records():
 
 def test_single_walks_pinned():
     # single walks draw 4096-step chunks; these values were recorded before
-    # the ensemble and single-walker kernels were merged and must not move
+    # the ensemble and single-walker kernels were merged and must not move.
+    # targeted_measurement draws its stop time in closed form, not by a walk
     cfg = tj.TrajectoryConfig(d_tau=0.02, escape_radius=6.0)
     rec = tj.simulate_qnd(2, 1.0, cfg, tj.NoiseStream(7, 1))
     assert (rec.status, rec.crossing_time, rec.r_path.size) == ("crossed", 0.4922308434357619, 26)
@@ -49,10 +50,10 @@ def test_single_walks_pinned():
     assert (rec.status, rec.escaped, rec.r_path.size) == ("timed-out", False, 5001)
     assert rec.r_path[4500] == 6.2165907457086895 and rec.r_path[-1] == 7.854711171900893
     fine = tj.TrajectoryConfig(d_tau=1e-3)
-    assert tj.targeted_measurement(1, 0.8, cfg, tj.NoiseStream(55, 0)) == (True, 1.6573296700668407)
+    assert tj.targeted_measurement(1, 0.8, cfg, tj.NoiseStream(55, 0)) == (True, 0.5035321271539769)
     assert tj.targeted_measurement(2, 0.8, cfg, tj.NoiseStream(56, 0)) == (False, None)
-    assert tj.targeted_measurement(2, 0.8, fine, tj.NoiseStream(56, 1)) == (True, 1.1605827638254982)
-    assert tj.targeted_measurement(2, -1.3, fine, tj.NoiseStream(57, 4)) == (True, 5.099652777622783)
+    assert tj.targeted_measurement(2, 0.8, fine, tj.NoiseStream(56, 1)) == (True, 0.4748046824253864)
+    assert tj.targeted_measurement(2, -1.3, fine, tj.NoiseStream(57, 4)) == (True, 0.5420366449108472)
 
 
 def test_simulate_qnd_record_invariants():
@@ -172,6 +173,86 @@ def test_small_ensembles_walk_multi_step_chunks():
     assert ens.crossing_times.size == ens.crossed and np.all(ens.crossing_times <= 1.0)
 
 
+def test_first_passage_walks_match_law_on_multi_step_chunks():
+    # the walk kernel on its own: 300 walkers per call keep every chunk at
+    # k >= 13 steps; walkers drifting toward 0 from 1 arrive by the
+    # waiting-time law, and away-drifting ones with probability exp(-2)
+    n, calls = 300, 100
+    coarse = tj.TrajectoryConfig(d_tau=0.05, escape_radius=6.0)
+    crossed = sum(
+        tj.run_first_passage_ensemble(1.0, +1.0, n, coarse, seed=34, stream_offset=i).crossed
+        for i in range(calls // 2)
+    )
+    assert stats.bernoulli_estimate(crossed, n * calls // 2).contains(math.exp(-2.0))
+    fine = tj.TrajectoryConfig(d_tau=0.005)
+    times = np.concatenate([
+        tj.run_first_passage_ensemble(
+            1.0, -1.0, n, fine, seed=35, stream_offset=i, collect_times=True
+        ).crossing_times
+        for i in range(calls)
+    ])
+    assert times.size == n * calls
+    comp = stats.ks_distance(times, lambda t: charge.waiting_time_cdf(t, 1.0))
+    assert comp.statistic <= 0.03
+    summary = stats.moment_summary(times)
+    assert abs(summary.mean - 1.0) <= 3.0 * summary.std / math.sqrt(times.size)
+
+
+def test_coarse_step_waiting_times_pass_criterion_2():
+    # stop times are drawn, not walked, so criterion 2's KS and mean checks
+    # hold at the coarse rate step too
+    state = diag_state(0.5)
+    n = int(math.ceil(100_000 / charge.uncollapse_success_probability(state, 1.0) * 1.05))
+    cfg = tj.TrajectoryConfig(d_tau=0.05, escape_radius=6.0)
+    ens = tj.wait_and_stop_ensemble(state, 1.0, n, cfg, seed=36, collect_times=True)
+    times = ens.waiting_times
+    assert times.size >= 100_000
+    assert stats.ks_distance(times, lambda t: charge.waiting_time_cdf(t, 1.0)).statistic <= 0.01
+    se = np.std(times, ddof=1) / math.sqrt(times.size)
+    assert abs(np.mean(times) - 1.0) <= 3.0 * se
+
+
+def test_stop_time_draws_match_law_over_scales():
+    n = 200_000
+    for k, x0 in enumerate((1e-6, 0.01, 20.0)):
+        gen = tj.NoiseStream(37, k).generator()
+        hits, timed_out, times = tj._stop_times(gen, x0, -1.0, n, tj.TrajectoryConfig(tau_max=1e6))
+        assert (hits, timed_out) == (n, 0)
+        assert np.all(np.isfinite(times)) and np.all(times > 0.0)
+        comp = stats.ks_distance(times, lambda t: charge.waiting_time_cdf(t, x0))
+        assert comp.statistic <= 0.005, (x0, comp.statistic)
+    # x0 squared underflows a float here; every walker still arrives
+    gen = tj.NoiseStream(37, 3).generator()
+    hits, timed_out, times = tj._stop_times(gen, 1e-170, -1.0, 1000, tj.TrajectoryConfig())
+    assert (hits, timed_out) == (1000, 0)
+    assert np.all(np.isfinite(times)) and np.all(times >= 0.0)
+
+
+def test_targeted_measurement_waiting_times_match_law():
+    cfg = tj.TrajectoryConfig(d_tau=0.05)
+    times = [tj.targeted_measurement(1, 0.8, cfg, tj.NoiseStream(39, k))[1] for k in range(3000)]
+    comp = stats.ks_distance(np.array(times), lambda t: charge.waiting_time_cdf(t, 0.8))
+    assert comp.statistic <= 0.03
+
+
+def test_reversal_ensembles_ignore_step_and_escape_radius():
+    state = diag_state(0.3)
+    runs = [
+        tj.wait_and_stop_ensemble(
+            state, -0.9, 5000, tj.TrajectoryConfig(d_tau=d_tau, tau_max=3.0, escape_radius=radius),
+            seed=40, collect_times=True,
+        )
+        for d_tau in (0.001, 0.05)
+        for radius in (None, 6.0)
+    ]
+    assert runs[0].timed_out > 0
+    for ens in runs[1:]:
+        assert (ens.successes, ens.state1_count, ens.timed_out) == (
+            runs[0].successes, runs[0].state1_count, runs[0].timed_out
+        )
+        assert np.array_equal(ens.waiting_times, runs[0].waiting_times)
+
+
 def test_conditioned_crossers_success_rate():
     # with p1 = 1 and r0 = 1 every walker drifts away; only the fate draw
     # decides success, so the count follows exp(-2) exactly
@@ -205,6 +286,9 @@ def test_timed_out_crossers_are_the_residual_bound():
     assert np.all(ens.waiting_times <= 0.5)
     crossers = ens.successes + ens.timed_out
     assert stats.bernoulli_estimate(crossers, n).contains(math.exp(-2.0))
+    # tau_max cuts the drawn times exactly
+    p_in_time = math.exp(-2.0) * charge.waiting_time_cdf(0.5, 1.0)
+    assert stats.bernoulli_estimate(ens.successes, n).contains(p_in_time)
 
 
 def test_targeted_ensemble_against_drift_matches_law():
