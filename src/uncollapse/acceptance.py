@@ -37,7 +37,6 @@ from .evolving import (
 )
 from .linalg import max_abs
 from .measurement import (
-    KrausOperator,
     PriorEnsemble,
     QuantumState,
     bayes_update,
@@ -48,6 +47,7 @@ from .measurement import (
     pair_update,
     polar_decompose,
     random_density_matrix,
+    random_invertible_kraus,
     random_pure_state,
     success_probability_bound,
 )
@@ -64,6 +64,7 @@ from .phase import (
 )
 from .stats import bernoulli_estimate, ks_distance
 from .trajectory import (
+    BLOCK_SIZE,
     NoiseStream,
     TrajectoryConfig,
     sample_total_uncollapse,
@@ -159,18 +160,34 @@ def _tolerance_row(label: str, value: float, tolerance: float) -> Row:
     return Row(label=label, value=value, reference=tolerance, within=value <= tolerance)
 
 
+def _identical_row(label: str, identical: bool) -> Row:
+    return Row(label=label, value=float(identical), reference=1.0, within=identical)
+
+
+def _pair_row(label: str, hits_a: int, hits_b: int, trials: int) -> Row:
+    """Two rates of `trials` trials each agree within 3 standard errors of their difference."""
+    pa, pb = hits_a / trials, hits_b / trials
+    se = math.sqrt(pa * (1 - pa) / trials + pb * (1 - pb) / trials)
+    gap = abs(pa - pb)
+    return Row(label=label, value=gap, reference=3.0 * se, within=gap <= 3.0 * se + 1e-15)
+
+
+def _mean_row(label: str, samples: np.ndarray, reference: float, sd: float) -> Row:
+    """Sample mean within 3 standard errors, sd / sqrt(samples), of the reference."""
+    mean = float(np.mean(samples))
+    se = sd / math.sqrt(samples.size)
+    return Row(
+        label=label,
+        value=mean,
+        reference=reference,
+        within=abs(mean - reference) <= 3.0 * se,
+        ci_low=mean - 3.0 * se,
+        ci_high=mean + 3.0 * se,
+    )
+
+
 def _mixed_qubit(p1: float) -> QuantumState:
     return QuantumState(rho=np.diag([p1, 1.0 - p1]).astype(complex))
-
-
-def _random_invertible_kraus(rng: np.random.Generator, dim: int = 2) -> KrausOperator:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    e = g @ g.conj().T + 0.3 * np.eye(dim)
-    e = e / (np.linalg.eigvalsh(e)[-1] * 1.02)
-    vals, vecs = np.linalg.eigh(e)
-    sqrt_e = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return KrausOperator(q @ sqrt_e)
 
 
 def criterion_1(seed: int, scale: float, workers: int) -> CriterionResult:
@@ -201,18 +218,7 @@ def criterion_2(seed: int, scale: float, workers: int) -> CriterionResult:
     times = ens.waiting_times
     comp = ks_distance(times, lambda t: waiting_time_cdf(t, r0), reference="waiting-time CDF")
     res.rows.append(_tolerance_row("ks_distance", comp.statistic, 0.01))
-    mean = float(np.mean(times))
-    se = float(np.std(times, ddof=1) / math.sqrt(times.size))
-    res.rows.append(
-        Row(
-            label="mean_waiting_time",
-            value=mean,
-            reference=abs(r0),
-            within=abs(mean - abs(r0)) <= 3.0 * se,
-            ci_low=mean - 3.0 * se,
-            ci_high=mean + 3.0 * se,
-        )
-    )
+    res.rows.append(_mean_row("mean_waiting_time", times, abs(r0), float(np.std(times, ddof=1))))
     return res
 
 
@@ -223,27 +229,16 @@ def criterion_3(seed: int, scale: float, workers: int) -> CriterionResult:
     populations = (0.2, 0.5, 0.8)
     for i, tau in enumerate((0.5, 1.0, 2.0, 4.0)):
         ref = float(total_success_probability(tau))
-        estimates = []
+        hits = []
         for j, p1 in enumerate(populations):
-            hits = sample_total_uncollapse(
+            hits.append(sample_total_uncollapse(
                 _mixed_qubit(p1), tau, n, _derive(seed, 3, i * 10 + j), workers=workers
-            )
-            estimates.append(hits / n)
-            res.rows.append(_interval_row(f"tau={tau} p1={p1}", hits, n, ref))
-        for a in range(len(estimates)):
-            for b in range(a + 1, len(estimates)):
-                pa, pb = estimates[a], estimates[b]
-                se = math.sqrt(
-                    pa * (1 - pa) / n + pb * (1 - pb) / n
-                )
-                res.rows.append(
-                    Row(
-                        label=f"tau={tau} pair {populations[a]}/{populations[b]}",
-                        value=abs(pa - pb),
-                        reference=3.0 * se,
-                        within=abs(pa - pb) <= 3.0 * se + 1e-15,
-                    )
-                )
+            ))
+            res.rows.append(_interval_row(f"tau={tau} p1={p1}", hits[j], n, ref))
+        for a in range(len(hits)):
+            for b in range(a + 1, len(hits)):
+                label = f"tau={tau} pair {populations[a]}/{populations[b]}"
+                res.rows.append(_pair_row(label, hits[a], hits[b], n))
     return res
 
 
@@ -255,7 +250,7 @@ def criterion_4(seed: int, scale: float, workers: int) -> CriterionResult:
     worst = 0.0
     for k in range(n_states):
         state = random_pure_state(2, rng) if k % 2 == 0 else random_density_matrix(2, rng)
-        op = _random_invertible_kraus(rng)
+        op = random_invertible_kraus(rng)
         restored, _, _ = measure_and_uncollapse(op, state)
         worst = max(worst, max_abs(restored.rho - state.rho))
     res.rows.append(_tolerance_row("abstract_max_error", worst, 1e-9))
@@ -316,7 +311,7 @@ def criterion_5(seed: int, scale: float, workers: int) -> CriterionResult:
         states = tuple(random_pure_state(2, rng) if rng.random() < 0.5 else random_density_matrix(2, rng) for _ in range(k))
         w = rng.random(k) + 0.05
         prior = PriorEnsemble(states=states, weights=w / w.sum())
-        op = _random_invertible_kraus(rng)
+        op = random_invertible_kraus(rng)
         updated = pair_update(prior, op)
         worst_prior = max(worst_prior, float(np.max(np.abs(updated.weights - prior.weights))))
         p_min = joint_success_probability(op)
@@ -437,7 +432,7 @@ def criterion_8(seed: int, scale: float, workers: int) -> CriterionResult:
     n_runs = _sized(10_000, scale, 500)
     for n_qubits in (2, 3):
         dim = 2**n_qubits
-        op = _random_invertible_kraus(rng, dim)
+        op = random_invertible_kraus(rng, dim)
         plan = build_plan(op, gamma=1.0)
         psi_in = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi_in /= np.linalg.norm(psi_in)
@@ -519,16 +514,7 @@ def criterion_9(seed: int, scale: float, workers: int) -> CriterionResult:
         r0, +1.0, n, _RATE_CONFIG, _derive(seed, 9, 2), workers=workers
     )
     res.rows.append(_interval_row("trajectory engine", ens.crossed, ens.n, ref))
-    pa, pb = crossed_oracle / n, ens.crossed / n
-    se = math.sqrt(pa * (1 - pa) / n + pb * (1 - pb) / n)
-    res.rows.append(
-        Row(
-            label="oracle-vs-engine",
-            value=abs(pa - pb),
-            reference=3.0 * se,
-            within=abs(pa - pb) <= 3.0 * se + 1e-15,
-        )
-    )
+    res.rows.append(_pair_row("oracle-vs-engine", crossed_oracle, ens.crossed, n))
     return res
 
 
@@ -594,12 +580,13 @@ def criterion_10(seed: int, scale: float, workers: int) -> CriterionResult:
         second, seed, inner_scale
     )
     csv_match = render_acceptance_csv(first) == render_acceptance_csv(second)
-    res.rows.append(
-        Row(label="json bytes identical", value=float(json_match), reference=1.0, within=json_match)
-    )
-    res.rows.append(
-        Row(label="csv bytes identical", value=float(csv_match), reference=1.0, within=csv_match)
-    )
+    res.rows.append(_identical_row("json bytes identical", json_match))
+    res.rows.append(_identical_row("csv bytes identical", csv_match))
+    # the inner ensembles are one block each; two blocks start the pool
+    state, n = _mixed_qubit(0.5), 2 * BLOCK_SIZE
+    serial = sample_total_uncollapse(state, 1.0, n, _derive(seed, 10), workers=1)
+    pooled = sample_total_uncollapse(state, 1.0, n, _derive(seed, 10), workers=max(2, workers))
+    res.rows.append(_identical_row("two-block ensemble identical", serial == pooled))
     res.runtime_s = time.perf_counter() - t0
     return res
 

@@ -21,10 +21,10 @@ from .charge import crossing_probability
 from .linalg import _fix_column_phases, max_abs, svd
 from .measurement import QuantumState, UncollapseImpossibleError
 from .trajectory import (
-    BLOCK_SIZE,
     KrausExtraction,
     TrajectoryConfig,
     _as_generator,
+    _block_count,
     targeted_ensemble,
     targeted_measurement,
 )
@@ -321,7 +321,7 @@ def two_step_ensemble(
     # the second stage starts at the first stream the first one left unused
     return targeted_ensemble(
         p1_second, second_target, survivors, config, seed,
-        stream_offset=stream_offset + math.ceil(n / BLOCK_SIZE), workers=workers,
+        stream_offset=stream_offset + _block_count(n), workers=workers,
     )
 
 

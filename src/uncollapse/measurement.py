@@ -114,6 +114,21 @@ class KrausOperator:
         return 0.5 * (e + e.conj().T)
 
 
+def random_invertible_kraus(rng: np.random.Generator, dim: int = 2) -> KrausOperator:
+    """Random invertible measurement operator Q sqrt(E), Q a random unitary.
+
+    E is a Wishart matrix plus 0.3 times the identity, scaled to a top
+    eigenvalue of 1/1.02, so the operator stays safely invertible.
+    """
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    e = g @ g.conj().T + 0.3 * np.eye(dim)
+    e = e / (np.linalg.eigvalsh(e)[-1] * 1.02)
+    vals, vecs = np.linalg.eigh(e)
+    sqrt_e = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return KrausOperator(q @ sqrt_e)
+
+
 @dataclass(frozen=True)
 class PovmSet:
     """Complete ordered set of measurement operators."""

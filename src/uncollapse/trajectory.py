@@ -4,8 +4,9 @@ The engine samples detector records, evolves the monitored qubit, and
 executes wait-and-stop measurement reversal.  Noise comes from
 counter-based Philox streams addressed by (seed, stream index), so any
 run is reproducible and ensembles can be fanned out deterministically:
-walkers are processed in fixed-size blocks, block b consuming stream
-(seed, b), which makes results byte-identical for any worker count.
+one driver, ``_ensemble``, runs every ensemble in fixed-size blocks,
+block b consuming stream (seed, stream_offset + b), which makes results
+byte-identical for any worker count.
 
 Dimensionless units throughout: time in units of the measurement time
 T_M, so the readout r performs a random walk with diffusion 1/2 and
@@ -208,7 +209,7 @@ class _Walks(NamedTuple):
     increments: np.ndarray | None = None
 
 
-def _walk(gen: np.random.Generator, x0: float, drift: float, count: int, config: TrajectoryConfig,
+def _walk(gen: np.random.Generator, count: int, x0: float, drift: float, config: TrajectoryConfig,
           collect_times: bool = False, keep_path: bool = False) -> _Walks:
     """Absorbing walks of `count` walkers in the folded frame: start x0 > 0, boundary at 0.
 
@@ -329,7 +330,7 @@ def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stre
         raise ValueError("r_start must be away from the boundary")
     gen = _as_generator(stream)
     sign = 1.0 if r_start > 0.0 else -1.0
-    walk = _walk(gen, abs(r_start), DRIFT[true_state] * sign, 1, config, collect_times=True, keep_path=True)
+    walk = _walk(gen, 1, abs(r_start), DRIFT[true_state] * sign, config, collect_times=True, keep_path=True)
     return TrajectoryRecord(
         r_path=sign * walk.path,
         increments=sign * walk.increments,
@@ -366,6 +367,39 @@ def wait_and_stop(state: QuantumState, r0: float, config: TrajectoryConfig, stre
 # vectorized ensembles
 
 
+def _block_count(n: int) -> int:
+    """Blocks, hence noise streams, that an ensemble of n walkers uses."""
+    return -(-n // BLOCK_SIZE)
+
+
+def _run_block(job):
+    fn, stream, count, args = job
+    return fn(stream.generator(), count, *args)
+
+
+def _ensemble(fn, n: int, seed: int, stream_offset: int, workers: int, *args) -> list[tuple]:
+    """Run fn(gen, count, *args) over n walkers in blocks; the block results as columns.
+
+    Block b holds BLOCK_SIZE walkers (the last one the rest) and draws from
+    stream (seed, stream_offset + b), so results are identical for any
+    worker count.  A pool of min(workers, blocks, CPUs) processes starts
+    only when that is more than one.
+    """
+    jobs = [
+        (fn, NoiseStream(seed, stream_offset + b), min(BLOCK_SIZE, n - b * BLOCK_SIZE), args)
+        for b in range(_block_count(n))
+    ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        parts = [_run_block(job) for job in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # lazily: serial runs never load it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_block, jobs))
+    return list(zip(*parts))
+
+
 @dataclass(frozen=True)
 class FirstPassageEnsemble:
     n: int
@@ -374,27 +408,6 @@ class FirstPassageEnsemble:
     timed_out: int
     crossing_times: np.ndarray | None
     residual_crossing_bound: float  # upper bound on crossings forfeited by cutoffs
-
-
-def _first_passage_block(args):
-    x0, drift, count, config, seed, index, collect_times = args
-    gen = NoiseStream(seed, index).generator()
-    return _walk(gen, x0, drift, count, config, collect_times)[:5]
-
-
-def _run_blocks(block_fn, args_list, workers: int):
-    workers = min(workers, len(args_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return [block_fn(a) for a in args_list]
-    from concurrent.futures import ProcessPoolExecutor  # lazily: serial runs never load it
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block_fn, args_list))
-
-
-def _block_sizes(n: int) -> list[int]:
-    full, rest = divmod(n, BLOCK_SIZE)
-    return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
 def run_first_passage_ensemble(
@@ -408,28 +421,18 @@ def run_first_passage_ensemble(
     collect_times: bool = False,
     workers: int = 1,
 ) -> FirstPassageEnsemble:
-    """Absorbing random walks from x0 > 0 toward 0 with drift +-1.
-
-    Walkers run in fixed blocks, block b on noise stream (seed,
-    stream_offset + b); results are identical for any worker count.
-    """
+    """Absorbing random walks from x0 > 0 toward 0 with drift +-1, in ``_ensemble`` blocks."""
     if x0 <= 0.0:
         raise ValueError("x0 must be positive")
     if n <= 0:
         raise ValueError("n must be positive")
-    args = [
-        (x0, drift, size, config, seed, stream_offset + b, collect_times)
-        for b, size in enumerate(_block_sizes(n))
-    ]
-    parts = _run_blocks(_first_passage_block, args, workers)
-    crossed = sum(p[0] for p in parts)
-    escaped = sum(p[1] for p in parts)
-    timed_out = sum(p[2] for p in parts)
-    times = np.concatenate([p[3] for p in parts]) if collect_times else None
-    residual = float(sum(p[4] for p in parts))
+    crossed, escaped, timed_out, times, residual, _, _ = _ensemble(
+        _walk, n, seed, stream_offset, workers, x0, drift, config, collect_times
+    )
     return FirstPassageEnsemble(
-        n=n, crossed=crossed, escaped=escaped, timed_out=timed_out,
-        crossing_times=times, residual_crossing_bound=residual,
+        n=n, crossed=sum(crossed), escaped=sum(escaped), timed_out=sum(timed_out),
+        crossing_times=np.concatenate(times) if collect_times else None,
+        residual_crossing_bound=float(sum(residual)),
     )
 
 
@@ -451,20 +454,19 @@ class WaitAndStopEnsemble:
         return float(self.timed_out)
 
 
-def _wait_and_stop_block(args):
-    p2, r0, count, config, seed, index, collect_times = args
-    gen = NoiseStream(seed, index).generator()
+def _reversal_block(gen: np.random.Generator, count: int, p2: float, x0: float, drift1: float,
+                    config: TrajectoryConfig, collect_times: bool):
+    """Stops at 0 of `count` walkers from x0 > 0: (hits, state-1 walkers, timed out, times).
+
+    Each walker's bit is 2 with probability p2; bit-1 walkers drift at
+    drift1 and bit-2 walkers at -drift1, and both groups draw their fates
+    and stop times exactly (see ``_stop_times``).
+    """
     n2 = int(np.count_nonzero(gen.random(count) < p2))
-    n1 = count - n2
-    sign = 1.0 if r0 > 0.0 else -1.0
-    crossed, timed_out, times = 0, 0, [np.empty(0)]
-    for group_count, true_state in ((n1, 1), (n2, 2)):
-        hits, late, group_times = _stop_times(gen, abs(r0), DRIFT[true_state] * sign, group_count, config)
-        crossed += hits
-        timed_out += late
-        if collect_times:
-            times.append(group_times)
-    return crossed, n1, np.concatenate(times), timed_out
+    hits1, late1, times1 = _stop_times(gen, x0, drift1, count - n2, config)
+    hits2, late2, times2 = _stop_times(gen, x0, -drift1, n2, config)
+    times = np.concatenate((times1, times2)) if collect_times else np.empty(0)
+    return hits1 + hits2, count - n2, late1 + late2, times
 
 
 def wait_and_stop_ensemble(
@@ -480,9 +482,9 @@ def wait_and_stop_ensemble(
 ) -> WaitAndStopEnsemble:
     """Ensemble of wait-and-stop reversal attempts after a readout r0.
 
-    Per block, the true bit of each walker is sampled from the updated
-    populations, then both drift groups draw their fates and stop times
-    on the block's stream (see ``_stop_times``).
+    The true bit of each walker is sampled from the updated populations;
+    in the folded frame x = |r| a bit's walkers drift at DRIFT[bit] times
+    the sign of r0, and ``_reversal_block`` draws their stops at 0.
     """
     if state.dim != 2:
         raise ValueError("wait-and-stop reversal is defined for a single qubit")
@@ -493,33 +495,15 @@ def wait_and_stop_ensemble(
         return WaitAndStopEnsemble(
             n=n, successes=n, state1_count=0, waiting_times=times, timed_out=0
         )
-    posterior = qnd_posterior(state, r0)
-    p2 = float(posterior.rho[1, 1].real)
-    args = [
-        (p2, r0, size, config, seed, stream_offset + b, collect_times)
-        for b, size in enumerate(_block_sizes(n))
-    ]
-    parts = _run_blocks(_wait_and_stop_block, args, workers)
-    successes = sum(p[0] for p in parts)
-    state1 = sum(p[1] for p in parts)
-    times = np.concatenate([p[2] for p in parts]) if collect_times else None
-    timed_out = sum(p[3] for p in parts)
-    return WaitAndStopEnsemble(
-        n=n, successes=successes, state1_count=state1,
-        waiting_times=times, timed_out=timed_out,
+    p2 = float(qnd_posterior(state, r0).rho[1, 1].real)
+    hits, state1, timed_out, times = _ensemble(
+        _reversal_block, n, seed, stream_offset, workers,
+        p2, abs(r0), math.copysign(DRIFT[1], r0), config, collect_times,
     )
-
-
-def _targeted_block(args):
-    p_state1, target_r, count, config, seed, index = args
-    gen = NoiseStream(seed, index).generator()
-    n1 = int(np.count_nonzero(gen.random(count) < p_state1))
-    n2 = count - n1
-    sign = 1.0 if target_r > 0.0 else -1.0
-    hits = 0
-    for group_count, true_state in ((n1, 1), (n2, 2)):
-        hits += _stop_times(gen, abs(target_r), -DRIFT[true_state] * sign, group_count, config)[0]
-    return hits
+    return WaitAndStopEnsemble(
+        n=n, successes=sum(hits), state1_count=sum(state1),
+        waiting_times=np.concatenate(times) if collect_times else None, timed_out=sum(timed_out),
+    )
 
 
 def targeted_ensemble(
@@ -534,31 +518,28 @@ def targeted_ensemble(
 ) -> int:
     """Count of runs whose readout reaches target_r from 0.
 
-    Each run's true bit is 1 with probability p_state1; the walk drifts
-    toward the target for one bit value and away for the other; fates and
-    arrival times are drawn exactly (see ``_stop_times``).
+    Each run's true bit is 1 with probability p_state1.  Reaching target_r
+    from 0 is the stop at 0 from x0 = |target_r| with the drift sign
+    flipped, so ``_reversal_block`` draws it.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     if target_r == 0.0:
         return n
-    args = [
-        (p_state1, target_r, size, config, seed, stream_offset + b)
-        for b, size in enumerate(_block_sizes(n))
-    ]
-    parts = _run_blocks(_targeted_block, args, workers)
-    return int(sum(parts))
+    hits = _ensemble(
+        _reversal_block, n, seed, stream_offset, workers,
+        1.0 - p_state1, abs(target_r), -math.copysign(DRIFT[1], target_r), config, False,
+    )[0]
+    return int(sum(hits))
 
 
-def _total_uncollapse_block(args):
-    p2, tau1, count, seed, index = args
-    gen = NoiseStream(seed, index).generator()
+def _total_uncollapse_block(gen: np.random.Generator, count: int, p2: float, tau1: float) -> tuple[int]:
     bits2 = gen.random(count) < p2
     drift = np.where(bits2, -1.0, 1.0)
     r0 = drift * tau1 + math.sqrt(tau1) * gen.standard_normal(count)
     away = drift * r0 > 0.0
     p_cross = np.where(away, np.exp(-2.0 * np.abs(r0)), 1.0)
-    return int(np.count_nonzero(gen.random(count) < p_cross))
+    return (int(np.count_nonzero(gen.random(count) < p_cross)),)
 
 
 def sample_total_uncollapse(
@@ -577,11 +558,8 @@ def sample_total_uncollapse(
     if n <= 0:
         raise ValueError("n must be positive")
     p2 = float(state.rho[1, 1].real)
-    args = [
-        (p2, tau1, size, seed, stream_offset + b) for b, size in enumerate(_block_sizes(n))
-    ]
-    parts = _run_blocks(_total_uncollapse_block, args, workers)
-    return int(sum(parts))
+    (hits,) = _ensemble(_total_uncollapse_block, n, seed, stream_offset, workers, p2, tau1)
+    return int(sum(hits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,31 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
-from uncollapse.measurement import KrausOperator
+from uncollapse.measurement import random_invertible_kraus  # noqa: F401  (the tests import it from here)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Pool sizes of the process pools started; the pools still run real processes."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a pool needs at least 2 CPUs")
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return starts
 
 
 def random_complex_matrix(rng, dim):
@@ -16,13 +35,3 @@ def random_complex_matrix(rng, dim):
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(random_complex_matrix(rng, dim))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_invertible_kraus(rng, dim=2, floor=0.3):
-    """Random measurement operator whose element stays safely invertible."""
-    g = random_complex_matrix(rng, dim)
-    e = g @ g.conj().T + floor * np.eye(dim)
-    e = e / (np.linalg.eigvalsh(e)[-1] * 1.02)
-    vals, vecs = np.linalg.eigh(e)
-    sqrt_e = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return KrausOperator(random_unitary(rng, dim) @ sqrt_e)

@@ -49,3 +49,11 @@ def test_criterion_10_reuses_the_oracle_result():
     result = acceptance.criterion_10(acceptance.DEFAULT_SEED, 1.0, 1)
     assert result.passed
     assert acceptance.brute_force_crossing.cache_info().hits - before >= 1
+
+
+def test_criterion_10_starts_a_process_pool(pool_starts):
+    # its inner criteria are one block per ensemble; its own two-block row
+    # compares a serial run with a pooled one
+    result = acceptance.criterion_10(acceptance.DEFAULT_SEED, 1.0, 1)
+    assert result.passed
+    assert len(pool_starts) >= 1

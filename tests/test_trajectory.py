@@ -98,13 +98,25 @@ def test_engine_crossing_matches_analytic_law():
     assert stats.bernoulli_estimate(ens2.crossed, n).contains(1.0)
 
 
-def test_ensemble_identical_across_worker_counts():
+def test_ensemble_identical_across_worker_counts(pool_starts):
     cfg = tj.TrajectoryConfig(d_tau=0.05, tau_max=40.0, escape_radius=6.0)
     state = diag_state(0.5)
-    a = tj.wait_and_stop_ensemble(state, 1.0, 40_000, cfg, seed=3, collect_times=True, workers=1)
-    b = tj.wait_and_stop_ensemble(state, 1.0, 40_000, cfg, seed=3, collect_times=True, workers=2)
-    assert a.successes == b.successes
-    assert np.array_equal(a.waiting_times, b.waiting_times)
+    n = 40_000  # three blocks
+
+    def run(workers):
+        ws = tj.wait_and_stop_ensemble(state, 1.0, n, cfg, seed=3, collect_times=True, workers=workers)
+        fp = tj.run_first_passage_ensemble(1.0, 1.0, n, cfg, seed=4, collect_times=True, workers=workers)
+        return (
+            ws.successes, ws.state1_count, ws.timed_out, ws.waiting_times.tobytes(),
+            fp.crossed, fp.escaped, fp.timed_out, fp.crossing_times.tobytes(), fp.residual_crossing_bound,
+            tj.targeted_ensemble(0.3, -1.1, n, cfg, seed=5, workers=workers),
+            tj.sample_total_uncollapse(state, 1.0, n, seed=6, workers=workers),
+        )
+
+    serial = run(1)
+    assert pool_starts == []
+    assert run(2) == serial
+    assert pool_starts == [2, 2, 2, 2]
 
 
 def test_wait_and_stop_zero_readout_is_immediate():
