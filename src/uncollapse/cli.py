@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -233,13 +234,38 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("format must be csv or json")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
+    _check_point(cfg)
+    if cfg.sweep_parameter in _SWEEPABLE:
+        # every point is checked before the first one runs
+        for index, (raw, point) in enumerate(_sweep_points(cfg)):
+            try:
+                _check_point(point)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep_values[{index}] = {raw!r}: {exc}") from exc
+    return cfg
+
+
+def _check_point(cfg: ExperimentConfig) -> None:
+    """Checks of one runnable configuration that depend on its values."""
     try:
         cfg.trajectory_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.kind == "multiqubit":
         _check_multiqubit(cfg)
-    return cfg
+
+
+def _sweep_points(cfg: ExperimentConfig):
+    """Each sweep value with the plain configuration that runs it."""
+    cast = _SWEEPABLE[cfg.sweep_parameter]
+    for index, raw in enumerate(cfg.sweep_values):
+        yield raw, replace(
+            cfg,
+            **{cfg.sweep_parameter: cast(raw)},
+            seed=_derive(cfg.seed, index),
+            sweep_parameter=None,
+            sweep_values=(),
+        )
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -346,7 +372,6 @@ def _check_multiqubit(cfg: ExperimentConfig) -> None:
 
 
 def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
-    _check_multiqubit(cfg)
     dim = 2**cfg.n_qubits
     rng = NoiseStream(cfg.seed, 0).generator()
     op = random_invertible_kraus(rng, dim)
@@ -449,16 +474,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
         )
     if cfg.kind not in _RUNNERS:
         raise ConfigError(f"sweep base kind must be one of {sorted(_RUNNERS)}")
-    cast = _SWEEPABLE[cfg.sweep_parameter]
     rows: list[Row] = []
-    for index, raw in enumerate(cfg.sweep_values):
-        point = replace(
-            cfg,
-            **{cfg.sweep_parameter: cast(raw)},
-            seed=_derive(cfg.seed, index),
-            sweep_parameter=None,
-            sweep_values=(),
-        )
+    for raw, point in _sweep_points(cfg):
         rows.extend(
             replace(row, label=f"{cfg.sweep_parameter}={raw} {row.label}")
             for row in _RUNNERS[point.kind](point)
@@ -470,6 +487,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncollapse",
@@ -479,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", default=os.environ.get(ENV_PREFIX + "CONFIG"))
+        p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
@@ -527,7 +545,8 @@ def main(argv: list[str] | None = None) -> int:
         "format": args.format,
     }
     try:
-        cfg = load_config(args.config, overrides)
+        path = args.config if args.config is not None else os.environ.get(ENV_PREFIX + "CONFIG")
+        cfg = load_config(path, overrides)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG

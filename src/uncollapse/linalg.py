@@ -52,17 +52,16 @@ def _fix_column_phases(vectors: np.ndarray, rows: np.ndarray | None = None):
     row j takes the phase removed from column j, so that a product
     ``vectors @ diag(s) @ rows`` is unchanged.
     """
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    nonzero = peaks != 0.0
+    phases = np.ones(peaks.size, dtype=complex)
+    # numpy scalar abs and division: the array forms round differently
+    phases[nonzero] = [z / abs(z) for z in peaks[nonzero]]
     out = vectors.copy()
-    rows = None if rows is None else rows.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        mag = abs(col[k])
-        if mag > 0.0:
-            phase = col[k] / mag
-            out[:, j] = col * phase.conjugate()
-            if rows is not None:
-                rows[j, :] = rows[j, :] * phase
+    np.multiply(vectors, phases.conj(), out=out, where=nonzero)
+    if rows is not None:
+        rows = rows.copy()
+        np.multiply(rows, phases[:, None], out=rows, where=nonzero[:, None])
     return out, rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_to_all_ones, herm_eig, max_abs
+from .linalg import herm_eig, max_abs
 from .measurement import (
     PROJECTIVE_THRESHOLD,
     KrausOperator,
@@ -31,7 +31,9 @@ class StepPlan:
 
     Step i rotates eigenvector i onto the all-ones state, measures for
     duration t_i = -(2/gamma) ln(shrink_i), and rotates back.  The step
-    with the smallest eigenvalue has zero duration.
+    with the smallest eigenvalue has zero duration.  Unitary i is the
+    adjoint of ``basis`` with rows i and dim - 1 swapped; all dim of them
+    hold dim³ complex entries, about 4 MB at N = 6.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -64,7 +66,8 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
 
     Diagonalizes E = M†M; each step's shrink factor is
     sqrt(min_j p_j / p_i) and its duration follows from the detector rate.
-    Projective operators cannot be undone.
+    The step unitaries are row swaps of the eigenbasis adjoint, built in
+    O(dim³) time.  Projective operators cannot be undone.
     """
     if gamma <= 0.0:
         raise ValueError("detector rate gamma must be positive")
@@ -78,10 +81,13 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
     shrink = np.sqrt(p[0] / p)
     shrink = np.minimum(shrink, 1.0)
     durations = np.maximum((-2.0 / gamma) * np.log(shrink), 0.0)
+    # step i is basis_to_all_ones(i, dim) @ basis_dagger, without the product
     basis_dagger = eig.vectors.conj().T
-    unitaries = tuple(
-        basis_to_all_ones(i, dim) @ basis_dagger for i in range(dim)
-    )
+    stack = np.broadcast_to(basis_dagger, (dim, dim, dim)).copy()
+    idx = np.arange(dim)
+    stack[idx, idx] = basis_dagger[-1]
+    stack[idx, -1] = basis_dagger
+    unitaries = tuple(stack)
     return StepPlan(
         unitaries=unitaries,
         durations=durations,

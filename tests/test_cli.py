@@ -93,6 +93,22 @@ def test_env_override(tmp_path, monkeypatch):
     assert echoed["seed"] == 42
 
 
+def test_config_env_read_at_each_call(tmp_path, monkeypatch):
+    # the parser is built once per process, so the variable must not be
+    # baked into its defaults
+    paths = []
+    for seed in (3, 4, 5):
+        path = tmp_path / f"cfg{seed}.json"
+        path.write_text(json.dumps({"kind": "charge-total", "trajectories": 100, "seed": seed}))
+        paths.append(path)
+    cases = ((paths[0], [], 3), (paths[1], [], 4), (paths[1], ["--config", str(paths[2])], 5))
+    for env_path, flag, seed in cases:
+        monkeypatch.setenv("UNCOLLAPSE_CONFIG", str(env_path))
+        out = tmp_path / f"o{seed}"
+        assert run_cli(["run", "--out", str(out), *flag]) == cli.EXIT_OK
+        assert json.loads((out / "effective_config.json").read_text())["seed"] == seed
+
+
 def test_sweep_total_reversibility(tmp_path):
     cfg = {
         "kind": "charge-total",
@@ -369,3 +385,23 @@ def test_multiqubit_bad_sweep_value_exits_2(tmp_path, capsys):
     }))
     assert run_cli(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "multiqubit", "sweep_parameter": "n_qubits", "sweep_values": [2, 3, 7]},
+        {"kind": "charge-qnd", "sweep_parameter": "d_tau", "sweep_values": [0.05, 0.2]},
+        {"kind": "multiqubit", "sweep_parameter": "gamma", "sweep_values": [1, -1]},
+    ],
+    ids=["n_qubits", "d_tau", "gamma"],
+)
+def test_bad_sweep_point_rejected_at_load(tmp_path, config):
+    # each point gets the checks of a plain config before any point runs
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trajectories": 100, **config}))
+    with pytest.raises(cli.ConfigError, match=r"sweep_values\[\d\]"):
+        cli.load_config(str(path), {})
+    good = dict(config, sweep_values=config["sweep_values"][:-1])
+    path.write_text(json.dumps({"trajectories": 100, **good}))
+    assert cli.load_config(str(path), {}).sweep_values == tuple(good["sweep_values"])

@@ -71,6 +71,52 @@ def test_svd_reconstruction_and_cross_check(rng):
         assert linalg.is_unitary(out.v)
 
 
+def _reference_fix_column_phases(vectors, rows=None):
+    """The column-by-column loop that ``_fix_column_phases`` replaced."""
+    out = vectors.copy()
+    rows = None if rows is None else rows.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        mag = abs(col[k])
+        if mag > 0.0:
+            phase = col[k] / mag
+            out[:, j] = col * phase.conjugate()
+            if rows is not None:
+                rows[j, :] = rows[j, :] * phase
+    return out, rows
+
+
+def test_fix_column_phases_bytes_match_reference_loop(rng):
+    # 1x1 vectors or rows are left out: numpy multiplies a one-element
+    # array by its scalar path, which may round the last bit differently
+    cases = []
+    for m, n in ((2, 2), (4, 4), (3, 5), (5, 3), (2, 1), (1, 3), (8, 8), (64, 64)):
+        cases.append(random_complex_matrix(rng, max(m, n))[:m, :n])
+        zeroed = random_complex_matrix(rng, max(m, n))[:m, :n]
+        zeroed[:, ::2] = 0.0
+        zeroed[0, 0] = -0.0
+        cases.append(zeroed)
+        # entries of exact magnitude 2 in four phases, so columns tie for their largest
+        cases.append(rng.choice(np.array([2.0, -2.0, 2.0j, -2.0j, 1.0 + 1.0j]), (m, n)))
+    for dim in (2, 3, 8, 64):
+        cases.append(random_unitary(rng, dim))
+        b = random_complex_matrix(rng, dim)
+        cases.append(np.linalg.eigh(b + b.conj().T)[1])
+    cases.append(np.zeros((3, 3), dtype=complex))
+    for vectors in cases:
+        rows = random_complex_matrix(rng, max(4, vectors.shape[1]))[: vectors.shape[1], :4]
+        for r in (None, rows):
+            got, got_rows = linalg._fix_column_phases(vectors, r)
+            want, want_rows = _reference_fix_column_phases(vectors, r)
+            assert got.tobytes() == want.tobytes()
+            if r is None:
+                assert got_rows is None
+            else:
+                assert got_rows.tobytes() == want_rows.tobytes()
+                assert got_rows is not r
+
+
 def test_u2_exp_zero_duration():
     assert np.array_equal(linalg.u2_exp(1.3, 0.7, 0.0), np.eye(2))
 

@@ -8,7 +8,7 @@ from uncollapse import multiqubit as mq
 from uncollapse import measurement as qm
 from uncollapse import phase, stats
 from uncollapse import trajectory as tj
-from uncollapse.linalg import herm_eig, max_abs
+from uncollapse.linalg import basis_to_all_ones, herm_eig, max_abs
 
 from conftest import random_invertible_kraus
 
@@ -309,3 +309,14 @@ def test_execute_plan_bit_identical_to_reference_loop(rng):
                     got = out.restored.rho if isinstance(out.restored, qm.QuantumState) else out.restored
                     assert got.tobytes() == restored.tobytes()
         assert successes > 0
+
+
+def test_step_unitaries_are_row_swaps_of_the_basis_adjoint(rng):
+    # the plan swaps rows instead of multiplying by the permutation; only
+    # signed zeros may differ, which array_equal ignores
+    for dim in (2, 4, 8, 16, 32, 64):
+        plan = mq.build_plan(random_invertible_kraus(rng, dim), gamma=1.0)
+        basis_dagger = plan.basis.conj().T
+        assert len(plan.unitaries) == dim
+        for i, u in enumerate(plan.unitaries):
+            assert np.array_equal(u, basis_to_all_ones(i, dim) @ basis_dagger)
