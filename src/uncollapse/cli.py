@@ -253,6 +253,13 @@ def _check_point(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.kind == "multiqubit":
         _check_multiqubit(cfg)
+    elif cfg.kind == "phase":
+        try:
+            PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    elif cfg.kind in ("charge-total", "charge-evolving") and not cfg.duration_tau > 0.0:
+        raise ConfigError("duration_tau must be positive")
 
 
 def _sweep_points(cfg: ExperimentConfig):

@@ -6,11 +6,13 @@ operators.  Each factor is realized physically by rotating the targeted
 eigenvector onto the all-ones register state, watching a detector that
 can only fire there for a computed duration, and rotating back; seeing
 no tunneling in any of the 2^N steps restores the input state exactly.
+Since every factor is diagonal in that eigenbasis, the simulation forms
+no step unitary: the null branch is one rotation into the eigenbasis, a
+diagonal shrink and one rotation back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +31,14 @@ from .trajectory import _as_generator
 class StepPlan:
     """Ordered rotate-measure-rotate steps realizing the reversal operator.
 
-    Step i rotates eigenvector i onto the all-ones state, measures for
-    duration t_i = -(2/gamma) ln(shrink_i), and rotates back.  The step
-    with the smallest eigenvalue has zero duration.  Unitary i is the
-    adjoint of ``basis`` with rows i and dim - 1 swapped; all dim of them
-    hold dim³ complex entries, about 4 MB at N = 6.
+    Step i rotates eigenvector i (column i of ``basis``) onto the all-ones
+    state, measures for duration t_i = -(2/gamma) ln(shrink_i), and
+    rotates back; the net effect is B diag(1, ..., shrink_i, ..., 1) B†.
+    The step with the smallest eigenvalue has zero duration.  Only B is
+    stored: every step is diagonal in it, so the null branch is simulated
+    there and no step unitary is ever formed.
     """
 
-    unitaries: tuple[np.ndarray, ...]
     durations: np.ndarray
     shrink_factors: np.ndarray
     gamma: float
@@ -45,8 +47,10 @@ class StepPlan:
     def __post_init__(self):
         t = np.asarray(self.durations, dtype=float)
         s = np.asarray(self.shrink_factors, dtype=float)
-        if t.size != s.size or len(self.unitaries) != t.size:
-            raise ValueError("one unitary, duration and shrink factor per step")
+        if t.size != s.size:
+            raise ValueError("one duration and shrink factor per step")
+        if np.shape(self.basis) != (t.size, t.size):
+            raise ValueError("basis must be dim x dim, one column per step")
         if np.any(t < 0.0):
             raise ValueError("durations must be nonnegative")
         if np.any((s <= 0.0) | (s > 1.0 + 1e-12)):
@@ -64,10 +68,10 @@ class StepPlan:
 def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
     """Plan the 2^N-step reversal of a measurement operator.
 
-    Diagonalizes E = M†M; each step's shrink factor is
+    Diagonalizes E = M†M once; each step's shrink factor is
     sqrt(min_j p_j / p_i) and its duration follows from the detector rate.
-    The step unitaries are row swaps of the eigenbasis adjoint, built in
-    O(dim³) time.  Projective operators cannot be undone.
+    The plan keeps the eigenbasis, which fixes every step's rotation.
+    Projective operators cannot be undone.
     """
     if gamma <= 0.0:
         raise ValueError("detector rate gamma must be positive")
@@ -77,59 +81,48 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
     p = eig.values
     if p[0] <= PROJECTIVE_THRESHOLD:
         raise UncollapseImpossibleError("measurement is projective within tolerance")
-    dim = p.size
     shrink = np.sqrt(p[0] / p)
     shrink = np.minimum(shrink, 1.0)
     durations = np.maximum((-2.0 / gamma) * np.log(shrink), 0.0)
-    # step i is basis_to_all_ones(i, dim) @ basis_dagger, without the product
-    basis_dagger = eig.vectors.conj().T
-    stack = np.broadcast_to(basis_dagger, (dim, dim, dim)).copy()
-    idx = np.arange(dim)
-    stack[idx, idx] = basis_dagger[-1]
-    stack[idx, -1] = basis_dagger
-    unitaries = tuple(stack)
-    return StepPlan(
-        unitaries=unitaries,
-        durations=durations,
-        shrink_factors=shrink,
-        gamma=gamma,
-        basis=eig.vectors,
-    )
-
-
-def null_step_kraus(duration: float, gamma: float, dim: int) -> np.ndarray:
-    """No-tunneling operator of one detector window.
-
-    Shrinks the all-ones axis (last index) by exp(-gamma t / 2) and leaves
-    every perpendicular axis untouched.
-    """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
-    d = np.ones(dim, dtype=complex)
-    d[-1] = math.exp(-0.5 * gamma * duration)
-    return np.diag(d)
+    return StepPlan(durations=durations, shrink_factors=shrink, gamma=gamma, basis=eig.vectors)
 
 
 def uncollapse_operator(plan: StepPlan) -> np.ndarray:
-    """Product of all rotate-measure-rotate factors: the plan's net operator."""
-    dim = plan.dim
-    total = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        u = plan.unitaries[i]
-        step = u.conj().T @ null_step_kraus(plan.durations[i], plan.gamma, dim) @ u
-        total = step @ total
-    return total
+    """Product of all rotate-measure-rotate factors: the plan's net operator B diag(s) B†."""
+    return (plan.basis * plan.shrink_factors) @ plan.basis.conj().T
 
 
-def _diag_populations(plan: StepPlan, state) -> np.ndarray:
-    """Populations of the state in the plan's eigenbasis."""
+def _in_eigenbasis(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarray]:
+    """The entering state in the plan's eigenbasis, B†ψ (ψ normalized) or B†ρB, and its populations there."""
     if isinstance(state, QuantumState):
-        d = np.diag(plan.basis.conj().T @ state.rho @ plan.basis).real
+        cur = state.rho
     else:
-        psi = np.asarray(state, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        d = np.abs(plan.basis.conj().T @ psi) ** 2
-    return np.clip(d, 0.0, None)
+        cur = np.asarray(state, dtype=complex).reshape(-1)
+        cur = cur / np.linalg.norm(cur)
+    if cur.shape[0] != plan.dim:
+        raise ValueError("state dimension does not match the plan")
+    if cur.ndim == 1:
+        y = plan.basis.conj().T @ cur
+        return y, np.abs(y) ** 2
+    y = plan.basis.conj().T @ cur @ plan.basis
+    return y, np.clip(np.diag(y).real, 0.0, None)
+
+
+def _null_probabilities(d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Chance that step i stays silent given that the earlier ones did.
+
+    ``d`` holds the entering populations of the eigenbasis axes and ``f``
+    the share of its axis's population a silent step keeps; the running
+    populations are renormalized after every step.
+    """
+    null = np.empty(d.size)
+    w = d.copy()
+    for i in range(d.size):
+        p = 1.0 - (1.0 - f[i]) * w[i]
+        null[i] = p
+        w[i] *= f[i]
+        w /= p
+    return null
 
 
 def success_probability(plan: StepPlan, state) -> float:
@@ -138,7 +131,7 @@ def success_probability(plan: StepPlan, state) -> float:
     ``state`` is the state entering the plan (after the unitary part of
     the measurement has been reversed), as a density matrix or vector.
     """
-    d = _diag_populations(plan, state)
+    d = _in_eigenbasis(plan, state)[1]
     return float(np.sum(d * plan.shrink_factors**2))
 
 
@@ -151,26 +144,12 @@ def stepwise_probabilities(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarra
     element-wise agreement proves the product-equals-sum identity for the
     total success probability.
     """
-    d = _diag_populations(plan, state)
+    d = _in_eigenbasis(plan, state)[1]
     f = plan.shrink_factors**2
-    dim = plan.dim
-
     shrunk_prefix = np.concatenate([[0.0], np.cumsum(d * f)])
-    raw_suffix = np.concatenate([np.cumsum((d)[::-1])[::-1], [0.0]])
-    trace_ratio = np.empty(dim)
-    for i in range(dim):
-        num = shrunk_prefix[i + 1] + raw_suffix[i + 1]
-        den = shrunk_prefix[i] + raw_suffix[i]
-        trace_ratio[i] = num / den
-
-    normalized_form = np.empty(dim)
-    w = d.copy()
-    for i in range(dim):
-        p = 1.0 - (1.0 - f[i]) * w[i]
-        normalized_form[i] = p
-        w[i] *= f[i]
-        w /= p
-    return trace_ratio, normalized_form
+    raw_suffix = np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
+    trace_ratio = (shrunk_prefix[1:] + raw_suffix[1:]) / (shrunk_prefix[:-1] + raw_suffix[:-1])
+    return trace_ratio, _null_probabilities(d, f)
 
 
 @dataclass(frozen=True)
@@ -180,38 +159,21 @@ class MultiqubitExecution:
     failed_step: int | None
 
 
-def _entering_state(plan: StepPlan, state) -> np.ndarray:
-    """Working copy of the input: a unit vector or a density matrix."""
-    if isinstance(state, QuantumState):
-        cur = state.rho.copy()
-    else:
-        cur = np.asarray(state, dtype=complex).reshape(-1).copy()
-        cur /= np.linalg.norm(cur)
-    if cur.shape[0] != plan.dim:
-        raise ValueError("state dimension does not match the plan")
-    return cur
+def _null_branch(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarray]:
+    """The run in which no step tunnels: each step's null probability and the restored state.
 
-
-def _null_step(plan: StepPlan, i: int, cur: np.ndarray) -> tuple[float, np.ndarray]:
-    """Step i on the null branch: its tunneling probability and the state after no tunneling.
-
-    Rotates eigenvector i onto the all-ones axis, shrinks that axis,
-    renormalizes and rotates back.
+    Every step shrinks one axis of the eigenbasis B, so the whole branch
+    is one rotation into B, a diagonal shrink s and one rotation back:
+    B(s∘B†ψ) for a vector, B s(B†ρB)s B† for a density matrix, normalized.
     """
-    u = plan.unitaries[i]
-    keep = plan.shrink_factors[i] ** 2
-    if cur.ndim == 1:
-        y = u @ cur
-        p_tunnel = (1.0 - keep) * abs(y[-1]) ** 2
-        y[-1] *= plan.shrink_factors[i]
-        y /= np.linalg.norm(y)
-        return p_tunnel, u.conj().T @ y
-    y = u @ cur @ u.conj().T
-    p_tunnel = (1.0 - keep) * float(y[-1, -1].real)
-    y[-1, :] *= plan.shrink_factors[i]
-    y[:, -1] *= plan.shrink_factors[i]
-    y /= np.trace(y).real
-    return p_tunnel, u.conj().T @ y @ u
+    y, d = _in_eigenbasis(plan, state)
+    null = _null_probabilities(d, plan.shrink_factors**2)
+    shrunk_basis = plan.basis * plan.shrink_factors
+    if y.ndim == 1:
+        out = shrunk_basis @ y
+        return null, out / np.linalg.norm(out)
+    out = shrunk_basis @ y @ shrunk_basis.conj().T
+    return null, out / np.trace(out).real
 
 
 def _restored(cur: np.ndarray) -> QuantumState | np.ndarray:
@@ -229,13 +191,11 @@ def execute_plan(plan: StepPlan, state, stream) -> MultiqubitExecution:
     entangled) state vector.
     """
     gen = _as_generator(stream)
-    cur = _entering_state(plan, state)
-    for i in range(plan.dim):
-        p_tunnel, after = _null_step(plan, i, cur)
-        if gen.random() < p_tunnel:
+    null, restored = _null_branch(plan, state)
+    for i, p_null in enumerate(null.tolist()):
+        if gen.random() < 1.0 - p_null:
             return MultiqubitExecution(success=False, restored=None, failed_step=i)
-        cur = after
-    return MultiqubitExecution(success=True, restored=_restored(cur), failed_step=None)
+    return MultiqubitExecution(success=True, restored=_restored(restored), failed_step=None)
 
 
 @dataclass(frozen=True)
@@ -265,11 +225,8 @@ def protocol_ensemble(plan: StepPlan, state, n: int, stream) -> MultiqubitEnsemb
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    cur = _entering_state(plan, state)
-    p_tunnel = np.empty(plan.dim)
-    for i in range(plan.dim):
-        p_tunnel[i], cur = _null_step(plan, i, cur)
-    null = 1.0 - p_tunnel
+    null, restored = _null_branch(plan, state)
+    p_tunnel = 1.0 - null
     reached = np.concatenate([[1.0], np.cumprod(null)[:-1]])
     edges = np.cumsum(reached * p_tunnel)
     outcome = np.searchsorted(edges, _as_generator(stream).random(n), side="right")
@@ -279,5 +236,5 @@ def protocol_ensemble(plan: StepPlan, state, n: int, stream) -> MultiqubitEnsemb
         successes=int(counts[-1]),
         failures=counts[:-1],
         null_probabilities=null,
-        restored=_restored(cur),
+        restored=_restored(restored),
     )

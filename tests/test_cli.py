@@ -393,8 +393,11 @@ def test_multiqubit_bad_sweep_value_exits_2(tmp_path, capsys):
         {"kind": "multiqubit", "sweep_parameter": "n_qubits", "sweep_values": [2, 3, 7]},
         {"kind": "charge-qnd", "sweep_parameter": "d_tau", "sweep_values": [0.05, 0.2]},
         {"kind": "multiqubit", "sweep_parameter": "gamma", "sweep_values": [1, -1]},
+        {"kind": "phase", "sweep_parameter": "p_t", "sweep_values": [0.5, 1.5]},
+        {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [1, -1]},
+        {"kind": "charge-evolving", "sweep_parameter": "duration_tau", "sweep_values": [1, -1]},
     ],
-    ids=["n_qubits", "d_tau", "gamma"],
+    ids=["n_qubits", "d_tau", "gamma", "p_t", "duration_tau-total", "duration_tau-evolving"],
 )
 def test_bad_sweep_point_rejected_at_load(tmp_path, config):
     # each point gets the checks of a plain config before any point runs
