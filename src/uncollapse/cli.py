@@ -49,7 +49,6 @@ from .measurement import (
     ImpossibleOutcomeError,
     QuantumState,
     UncollapseImpossibleError,
-    polar_decompose,
     random_invertible_kraus,
 )
 from .multiqubit import build_plan, stepwise_probabilities
@@ -72,6 +71,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_ACCEPTANCE = 4
 
+EVOLVING_MAX_D_TAU = 1e-3  # charge-evolving integrates at min(d_tau, this)
 KINDS = ("charge-qnd", "charge-evolving", "charge-total", "phase", "multiqubit", "analytics")
 STATE_PRESETS = {
     "plus": np.array([1.0, 1.0]) / math.sqrt(2.0),
@@ -260,6 +260,8 @@ def _check_point(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(exc)) from exc
     elif cfg.kind in ("charge-total", "charge-evolving") and not cfg.duration_tau > 0.0:
         raise ConfigError("duration_tau must be positive")
+    elif cfg.kind == "charge-evolving" and round(cfg.duration_tau / min(cfg.d_tau, EVOLVING_MAX_D_TAU)) < 1:
+        raise ConfigError("duration_tau is shorter than one integrator step")
 
 
 def _sweep_points(cfg: ExperimentConfig):
@@ -340,7 +342,7 @@ def run_charge_evolving(cfg: ExperimentConfig) -> list[Row]:
     params = cfg.detector_params()
     sim_cfg = cfg.trajectory_config()
     sim = simulate_evolving_pure(
-        psi_in, cfg.duration_tau, params, replace(sim_cfg, d_tau=min(sim_cfg.d_tau, 1e-3)),
+        psi_in, cfg.duration_tau, params, replace(sim_cfg, d_tau=min(sim_cfg.d_tau, EVOLVING_MAX_D_TAU)),
         NoiseStream(cfg.seed, 0),
     )
     plan = plan_from_kraus(sim.extraction, choice=1)
@@ -387,11 +389,10 @@ def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
     psi_in /= np.linalg.norm(psi_in)
     psi_m = op.matrix @ psi_in
     psi_m /= np.linalg.norm(psi_m)
-    psi_t = polar_decompose(op).unitary.conj().T @ psi_m
-    ref = multiqubit_success_probability(plan, psi_t)
-    trace_form, normalized_form = stepwise_probabilities(plan, psi_t)
+    ref = multiqubit_success_probability(plan, psi_m)
+    trace_form, normalized_form = stepwise_probabilities(plan, psi_m)
     ens = multiqubit_ensemble(
-        plan, psi_t, cfg.trajectories, NoiseStream(_derive(cfg.seed, 2), 0)
+        plan, psi_m, cfg.trajectories, NoiseStream(_derive(cfg.seed, 2), 0)
     )
     rows = [_interval_row("success_rate", ens.successes, ens.n, ref)]
     agreement = float(np.max(np.abs(trace_form - normalized_form)))

@@ -121,10 +121,8 @@ def random_invertible_kraus(rng: np.random.Generator, dim: int = 2) -> KrausOper
     eigenvalue of 1/1.02, so the operator stays safely invertible.
     """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    e = g @ g.conj().T + 0.3 * np.eye(dim)
-    e = e / (np.linalg.eigvalsh(e)[-1] * 1.02)
-    vals, vecs = np.linalg.eigh(e)
-    sqrt_e = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(g @ g.conj().T + 0.3 * np.eye(dim))
+    sqrt_e = (vecs * np.sqrt(np.clip(vals / (vals[-1] * 1.02), 0.0, None))) @ vecs.conj().T
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return KrausOperator(q @ sqrt_e)
 
@@ -324,11 +322,10 @@ def bayes_update(prior: PriorEnsemble, op: KrausOperator) -> PriorEnsemble:
 
 
 def _undo_success_probability(
-    op: KrausOperator, unc: UncollapseOperator, state: QuantumState
+    op: KrausOperator, u_m: np.ndarray, unc: UncollapseOperator, state: QuantumState
 ) -> float:
-    """Success probability of the undo step, computed by propagation."""
+    """Success probability of the undo step (U_m, then L), computed by propagation."""
     rho_m, _ = apply_measurement(op, state)
-    u_m = polar_decompose(op).unitary
     rho_rotated = u_m.conj().T @ rho_m.rho @ u_m
     l = unc.matrix
     return float(np.trace(l.conj().T @ l @ rho_rotated).real)
@@ -345,7 +342,8 @@ def pair_update(
     if unc is None:
         unc = build_uncollapse(op)
     after_m = bayes_update(prior, op)
-    likelihood = np.array([_undo_success_probability(op, unc, s) for s in prior.states])
+    u_m = polar_decompose(op).unitary
+    likelihood = np.array([_undo_success_probability(op, u_m, unc, s) for s in prior.states])
     weights = likelihood * after_m.weights
     total = weights.sum()
     if total <= ZERO_PROBABILITY:

@@ -7,8 +7,8 @@ eigenvector onto the all-ones register state, watching a detector that
 can only fire there for a computed duration, and rotating back; seeing
 no tunneling in any of the 2^N steps restores the input state exactly.
 Since every factor is diagonal in that eigenbasis, the simulation forms
-no step unitary: the null branch is one rotation into the eigenbasis, a
-diagonal shrink and one rotation back.
+no step unitary: the null branch is one map into the eigenbasis that
+also undoes M's unitary part, a diagonal shrink and one rotation back.
 """
 
 from __future__ import annotations
@@ -34,23 +34,24 @@ class StepPlan:
     Step i rotates eigenvector i (column i of ``basis``) onto the all-ones
     state, measures for duration t_i = -(2/gamma) ln(shrink_i), and
     rotates back; the net effect is B diag(1, ..., shrink_i, ..., 1) B†.
-    The step with the smallest eigenvalue has zero duration.  Only B is
-    stored: every step is diagonal in it, so the null branch is simulated
-    there and no step unitary is ever formed.
+    The step with the smallest eigenvalue has zero duration.  Only B and
+    ``to_eigenbasis`` = B†U_m† are stored: every step is diagonal in B,
+    so the null branch is simulated there and no step unitary is formed.
     """
 
     durations: np.ndarray
     shrink_factors: np.ndarray
     gamma: float
     basis: np.ndarray  # eigenbasis columns of E, eigenvalues ascending
+    to_eigenbasis: np.ndarray  # B†U_m†: post-measurement state -> eigenbasis
 
     def __post_init__(self):
         t = np.asarray(self.durations, dtype=float)
         s = np.asarray(self.shrink_factors, dtype=float)
         if t.size != s.size:
             raise ValueError("one duration and shrink factor per step")
-        if np.shape(self.basis) != (t.size, t.size):
-            raise ValueError("basis must be dim x dim, one column per step")
+        if np.shape(self.basis) != (t.size, t.size) or np.shape(self.to_eigenbasis) != (t.size, t.size):
+            raise ValueError("basis and to_eigenbasis must be dim x dim")
         if np.any(t < 0.0):
             raise ValueError("durations must be nonnegative")
         if np.any((s <= 0.0) | (s > 1.0 + 1e-12)):
@@ -70,8 +71,9 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
 
     Diagonalizes E = M†M once; each step's shrink factor is
     sqrt(min_j p_j / p_i) and its duration follows from the detector rate.
-    The plan keeps the eigenbasis, which fixes every step's rotation.
-    Projective operators cannot be undone.
+    The plan keeps the eigenbasis B, which fixes every step's rotation,
+    and B†U_m† = diag(p^{-1/2}) B†M†, which undoes M's unitary part
+    U_m = M E^{-1/2}.  Projective operators cannot be undone.
     """
     if gamma <= 0.0:
         raise ValueError("detector rate gamma must be positive")
@@ -81,10 +83,12 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
     p = eig.values
     if p[0] <= PROJECTIVE_THRESHOLD:
         raise UncollapseImpossibleError("measurement is projective within tolerance")
-    shrink = np.sqrt(p[0] / p)
-    shrink = np.minimum(shrink, 1.0)
+    shrink = np.minimum(np.sqrt(p[0] / p), 1.0)
     durations = np.maximum((-2.0 / gamma) * np.log(shrink), 0.0)
-    return StepPlan(durations=durations, shrink_factors=shrink, gamma=gamma, basis=eig.vectors)
+    return StepPlan(
+        durations=durations, shrink_factors=shrink, gamma=gamma, basis=eig.vectors,
+        to_eigenbasis=(matrix @ eig.vectors / np.sqrt(p)).conj().T,
+    )
 
 
 def uncollapse_operator(plan: StepPlan) -> np.ndarray:
@@ -93,18 +97,17 @@ def uncollapse_operator(plan: StepPlan) -> np.ndarray:
 
 
 def _in_eigenbasis(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarray]:
-    """The entering state in the plan's eigenbasis, B†ψ (ψ normalized) or B†ρB, and its populations there."""
-    if isinstance(state, QuantumState):
-        cur = state.rho
-    else:
-        cur = np.asarray(state, dtype=complex).reshape(-1)
-        cur = cur / np.linalg.norm(cur)
+    """The post-measurement state mapped by T = B†U_m†, Tψ normalized or TρT†/Tr, and its populations."""
+    cur = state.rho if isinstance(state, QuantumState) else np.asarray(state, dtype=complex).reshape(-1)
     if cur.shape[0] != plan.dim:
         raise ValueError("state dimension does not match the plan")
+    t = plan.to_eigenbasis
     if cur.ndim == 1:
-        y = plan.basis.conj().T @ cur
+        y = t @ cur
+        y /= np.linalg.norm(y)
         return y, np.abs(y) ** 2
-    y = plan.basis.conj().T @ cur @ plan.basis
+    y = t @ cur @ t.conj().T
+    y /= np.trace(y).real
     return y, np.clip(np.diag(y).real, 0.0, None)
 
 
@@ -128,8 +131,8 @@ def _null_probabilities(d: np.ndarray, f: np.ndarray) -> np.ndarray:
 def success_probability(plan: StepPlan, state) -> float:
     """Probability that no step tunnels: sum_i rho_ii exp(-gamma t_i).
 
-    ``state`` is the state entering the plan (after the unitary part of
-    the measurement has been reversed), as a density matrix or vector.
+    ``state`` is the state right after the measurement M, as a density
+    matrix or vector; the plan undoes M's unitary part itself.
     """
     d = _in_eigenbasis(plan, state)[1]
     return float(np.sum(d * plan.shrink_factors**2))
@@ -163,8 +166,8 @@ def _null_branch(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarray]:
     """The run in which no step tunnels: each step's null probability and the restored state.
 
     Every step shrinks one axis of the eigenbasis B, so the whole branch
-    is one rotation into B, a diagonal shrink s and one rotation back:
-    B(s∘B†ψ) for a vector, B s(B†ρB)s B† for a density matrix, normalized.
+    is one map T = B†U_m† into B, a diagonal shrink s and one rotation
+    back: B(s∘Tψ) for a vector, B s(TρT†)s B† for a density matrix, normalized.
     """
     y, d = _in_eigenbasis(plan, state)
     null = _null_probabilities(d, plan.shrink_factors**2)
@@ -183,7 +186,7 @@ def _restored(cur: np.ndarray) -> QuantumState | np.ndarray:
 
 
 def execute_plan(plan: StepPlan, state, stream) -> MultiqubitExecution:
-    """Run the 2^N rotate-measure-rotate steps on a state.
+    """Undo M on the state right after it: U_m†, then the 2^N rotate-measure-rotate steps.
 
     Tunneling at any step destroys the register (failure); an all-null
     run returns the restored state, matching the input of the original

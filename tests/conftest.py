@@ -28,6 +28,22 @@ def pool_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Calls made to each numpy.linalg decomposition; the real routine still runs."""
+    calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
+
+    def counting(name, routine):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
 def random_complex_matrix(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

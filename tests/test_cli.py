@@ -248,6 +248,16 @@ def test_run_multiqubit_rows_and_determinism(tmp_path):
     assert first == (tmp_path / "c" / "results.csv").read_bytes()
 
 
+def test_run_multiqubit_diagonalizes_once(tmp_path, linalg_calls):
+    # the Kraus builder's eigh and QR, the operator check's eigvalsh and
+    # the plan's eigh; the plan undoes the unitary part with no SVD
+    cfg = {"kind": "multiqubit", "seed": 4, "trajectories": 2000, "n_qubits": 6}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert linalg_calls == {"eigh": 2, "eigvalsh": 1, "svd": 0, "qr": 1}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("gamma", -1), ("gamma", 0), ("gamma", "fast"), ("n_qubits", 2.5), ("n_qubits", True), ("n_qubits", 7)],
@@ -396,8 +406,12 @@ def test_multiqubit_bad_sweep_value_exits_2(tmp_path, capsys):
         {"kind": "phase", "sweep_parameter": "p_t", "sweep_values": [0.5, 1.5]},
         {"kind": "charge-total", "sweep_parameter": "duration_tau", "sweep_values": [1, -1]},
         {"kind": "charge-evolving", "sweep_parameter": "duration_tau", "sweep_values": [1, -1]},
+        {"kind": "charge-evolving", "sweep_parameter": "duration_tau", "sweep_values": [1, 1e-4]},
     ],
-    ids=["n_qubits", "d_tau", "gamma", "p_t", "duration_tau-total", "duration_tau-evolving"],
+    ids=[
+        "n_qubits", "d_tau", "gamma", "p_t", "duration_tau-total", "duration_tau-evolving",
+        "duration_tau-evolving-step",
+    ],
 )
 def test_bad_sweep_point_rejected_at_load(tmp_path, config):
     # each point gets the checks of a plain config before any point runs

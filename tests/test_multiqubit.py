@@ -103,10 +103,9 @@ def test_execute_plan_restores_entangled_state(rng):
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     psi_m = op.matrix @ bell
     psi_m /= np.linalg.norm(psi_m)
-    psi_t = qm.polar_decompose(op).unitary.conj().T @ psi_m
     gen = tj.NoiseStream(9, 0).generator()
     for _ in range(2000):
-        out = mq.execute_plan(plan, psi_t, gen)
+        out = mq.execute_plan(plan, psi_m, gen)
         if out.success:
             proj = np.outer(out.restored, out.restored.conj())
             assert max_abs(proj - np.outer(bell, bell.conj())) <= 1e-9
@@ -118,13 +117,10 @@ def test_execute_plan_density_matrix_input(rng):
     op = random_invertible_kraus(rng, 4)
     plan = mq.build_plan(op, gamma=1.0)
     state = qm.random_density_matrix(4, rng)
-    rho_m = op.matrix @ state.rho @ op.matrix.conj().T
-    rho_m /= np.trace(rho_m).real
-    u_m = qm.polar_decompose(op).unitary
-    rho_t = qm.QuantumState(rho=u_m.conj().T @ rho_m @ u_m)
+    rho_m = qm.apply_measurement(op, state)[0]
     gen = tj.NoiseStream(10, 0).generator()
     for _ in range(2000):
-        out = mq.execute_plan(plan, rho_t, gen)
+        out = mq.execute_plan(plan, rho_m, gen)
         if out.success:
             assert max_abs(out.restored.rho - state.rho) <= 1e-9
             return
@@ -136,12 +132,11 @@ def test_execute_plan_success_rate(rng):
     plan = mq.build_plan(op, gamma=1.0)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
-    psi_t = qm.polar_decompose(op).unitary.conj().T @ op.matrix @ psi
-    psi_t /= np.linalg.norm(psi_t)
-    ref = mq.success_probability(plan, psi_t)
+    psi_m = op.matrix @ psi
+    ref = mq.success_probability(plan, psi_m)
     gen = tj.NoiseStream(12, 0).generator()
     n = 20_000
-    hits = sum(mq.execute_plan(plan, psi_t, gen).success for _ in range(n))
+    hits = sum(mq.execute_plan(plan, psi_m, gen).success for _ in range(n))
     assert stats.bernoulli_estimate(hits, n).contains(ref)
 
 
@@ -149,11 +144,8 @@ def test_success_probability_matches_general_bound(rng):
     op = random_invertible_kraus(rng, 4)
     plan = mq.build_plan(op, gamma=1.0)
     state = qm.random_density_matrix(4, rng)
-    rho_m = op.matrix @ state.rho @ op.matrix.conj().T
-    rho_m /= np.trace(rho_m).real
-    u_m = qm.polar_decompose(op).unitary
-    rho_t = qm.QuantumState(rho=u_m.conj().T @ rho_m @ u_m)
-    assert mq.success_probability(plan, rho_t) == pytest.approx(
+    rho_m = qm.apply_measurement(op, state)[0]
+    assert mq.success_probability(plan, rho_m) == pytest.approx(
         qm.success_probability_bound(op, state), abs=1e-12
     )
 
@@ -162,15 +154,10 @@ def test_joint_success_state_independent(rng):
     op = random_invertible_kraus(rng, 8)
     plan = mq.build_plan(op, gamma=1.0)
     p_min = qm.joint_success_probability(op)
-    u_m = qm.polar_decompose(op).unitary
     worst = 0.0
     for _ in range(10):
-        state = qm.random_density_matrix(8, rng)
-        outcome = qm.outcome_probability(op, state)
-        rho_m = op.matrix @ state.rho @ op.matrix.conj().T
-        rho_m /= np.trace(rho_m).real
-        rho_t = qm.QuantumState(rho=u_m.conj().T @ rho_m @ u_m)
-        worst = max(worst, abs(outcome * mq.success_probability(plan, rho_t) - p_min))
+        rho_m, outcome = qm.apply_measurement(op, qm.random_density_matrix(8, rng))
+        worst = max(worst, abs(outcome * mq.success_probability(plan, rho_m) - p_min))
     assert worst <= 1e-12
 
 
@@ -189,6 +176,7 @@ def test_step_order_invariance(rng):
             shrink_factors=plan.shrink_factors[list(perm)],
             gamma=plan.gamma,
             basis=plan.basis[:, list(perm)],
+            to_eigenbasis=plan.to_eigenbasis[list(perm)],
         )
         assert max_abs(mq.uncollapse_operator(shuffled) - base_total) <= 1e-12
         assert mq.success_probability(shuffled, state) == pytest.approx(base_success, abs=1e-12)
@@ -203,23 +191,23 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         mq.build_plan(qm.KrausOperator(np.diag([1.0, 0.5])), gamma=0.0)
     plan = mq.build_plan(qm.KrausOperator(np.diag([1.0, 0.5])), gamma=1.0)
-    with pytest.raises(ValueError, match="basis"):
-        mq.StepPlan(
-            durations=plan.durations,
-            shrink_factors=plan.shrink_factors,
-            gamma=plan.gamma,
-            basis=np.eye(3, dtype=complex),
-        )
+    for field in ("basis", "to_eigenbasis"):
+        with pytest.raises(ValueError, match="basis"):
+            mq.StepPlan(
+                durations=plan.durations,
+                shrink_factors=plan.shrink_factors,
+                gamma=plan.gamma,
+                **{"basis": plan.basis, "to_eigenbasis": plan.to_eigenbasis, field: np.eye(3, dtype=complex)},
+            )
 
 
-def _measured(op, state):
-    """Input to the plan: the state after M, with M's unitary part undone."""
-    u_m = qm.polar_decompose(op).unitary
-    if isinstance(state, qm.QuantumState):
-        rho = op.matrix @ state.rho @ op.matrix.conj().T
-        return qm.QuantumState(rho=u_m.conj().T @ (rho / np.trace(rho).real) @ u_m)
-    psi = u_m.conj().T @ op.matrix @ state
-    return psi / np.linalg.norm(psi)
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+def test_plan_undoes_whole_measurement(rng, dim):
+    # B diag(s) T M = sqrt(p_min) I: U_m† and the 2^N steps together undo M
+    op = random_invertible_kraus(rng, dim)
+    plan = mq.build_plan(op, gamma=1.0)
+    undo = (plan.basis * plan.shrink_factors) @ plan.to_eigenbasis @ op.matrix
+    assert max_abs(undo - math.sqrt(qm.joint_success_probability(op)) * np.eye(dim)) <= 1e-12
 
 
 @pytest.mark.parametrize("density", [False, True])
@@ -229,17 +217,18 @@ def test_protocol_ensemble_matches_closed_forms(rng, dim, density):
     plan = mq.build_plan(op, gamma=1.0)
     if density:
         state = qm.random_density_matrix(dim, rng)
+        after = qm.apply_measurement(op, state)[0]
     else:
         state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         state /= np.linalg.norm(state)
-    entering = _measured(op, state)
+        after = op.matrix @ state
     n = 200_000
-    ens = mq.protocol_ensemble(plan, entering, n, tj.NoiseStream(21, 0))
+    ens = mq.protocol_ensemble(plan, after, n, tj.NoiseStream(21, 0))
     assert ens.n == n
     assert ens.successes + int(ens.failures.sum()) == n
-    assert stats.bernoulli_estimate(ens.successes, n).contains(mq.success_probability(plan, entering))
+    assert stats.bernoulli_estimate(ens.successes, n).contains(mq.success_probability(plan, after))
 
-    trace_form, normalized_form = mq.stepwise_probabilities(plan, entering)
+    trace_form, normalized_form = mq.stepwise_probabilities(plan, after)
     assert max_abs(ens.null_probabilities - trace_form) <= 1e-12
     assert max_abs(ens.null_probabilities - normalized_form) <= 1e-12
     reached = np.concatenate([[1.0], np.cumprod(normalized_form)[:-1]])
@@ -255,7 +244,7 @@ def test_protocol_ensemble_matches_closed_forms(rng, dim, density):
 def test_protocol_ensemble_seeded_and_validated(rng):
     op = random_invertible_kraus(rng, 4)
     plan = mq.build_plan(op, gamma=1.0)
-    psi = _measured(op, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    psi = op.matrix @ np.array([1.0, 0.0, 0.0, 1.0])
     first = mq.protocol_ensemble(plan, psi, 5000, tj.NoiseStream(3, 0))
     again = mq.protocol_ensemble(plan, psi, 5000, tj.NoiseStream(3, 0))
     assert first.successes == again.successes
@@ -266,14 +255,18 @@ def test_protocol_ensemble_seeded_and_validated(rng):
             mq.protocol_ensemble(plan, psi, n, tj.NoiseStream(3, 0))
 
 
-def _reference_execute(plan, state, gen):
-    """The physical step loop: rotate, draw the tunneling, shrink the all-ones axis, rotate back."""
+def _reference_execute(plan, op, state, gen):
+    """The physical undo of M: U_m† from the polar form of M, then the step loop.
+
+    Each step rotates, draws the tunneling, shrinks the all-ones axis and rotates back.
+    """
+    u_m = qm.polar_decompose(op).unitary
     vector_input = not isinstance(state, qm.QuantumState)
     if vector_input:
-        cur = np.asarray(state, dtype=complex).reshape(-1).copy()
+        cur = u_m.conj().T @ np.asarray(state, dtype=complex).reshape(-1)
         cur /= np.linalg.norm(cur)
     else:
-        cur = state.rho.copy()
+        cur = u_m.conj().T @ state.rho @ u_m
     for i, u in enumerate(_step_rotations(plan)):
         keep = plan.shrink_factors[i] ** 2
         if vector_input:
@@ -310,7 +303,7 @@ def test_execute_plan_matches_reference_loop(rng):
         for _ in range(300):
             for state in states:
                 out = mq.execute_plan(plan, state, gen_a)
-                success, failed_step, restored = _reference_execute(plan, state, gen_b)
+                success, failed_step, restored = _reference_execute(plan, op, state, gen_b)
                 assert (out.success, out.failed_step) == (success, failed_step)
                 if success:
                     successes += 1
