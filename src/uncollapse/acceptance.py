@@ -61,11 +61,12 @@ from .phase import (
     protocol_ensemble,
     success_probability as phase_success_probability,
 )
-from .stats import bernoulli_estimate, ks_distance
+from .stats import Row, bernoulli_estimate, interval_row, ks_distance, mean_row, tolerance_row
 from .trajectory import (
     BLOCK_SIZE,
     NoiseStream,
     TrajectoryConfig,
+    _derive,
     sample_total_uncollapse,
     simulate_evolving_pure,
     run_first_passage_ensemble,
@@ -73,7 +74,6 @@ from .trajectory import (
 )
 
 DEFAULT_SEED = 20260808
-_MIX = 0x9E3779B97F4A7C15
 
 # coarse steps are exact for crossing rates (Gaussian marginals + exact
 # bridge crossing probability); the finer step below is for waiting times
@@ -81,46 +81,8 @@ _RATE_CONFIG = TrajectoryConfig(d_tau=0.05, escape_radius=6.0)
 _TIME_CONFIG = TrajectoryConfig(d_tau=0.005, escape_radius=6.0)
 
 
-def _derive(seed: int, *indices: int) -> int:
-    out = seed & 0xFFFFFFFFFFFFFFFF
-    for k in indices:
-        out = (out * _MIX + k + 1) & 0xFFFFFFFFFFFFFFFF
-    return out
-
-
 def _sized(n: int, scale: float, floor: int) -> int:
     return max(floor, int(round(n * scale)))
-
-
-@dataclass(frozen=True)
-class Row:
-    label: str
-    value: float
-    reference: float
-    within: bool
-    ci_low: float | None = None
-    ci_high: float | None = None
-
-    def as_record(self) -> dict:
-        return {
-            "label": self.label,
-            "value": float(self.value),
-            "ci_low": None if self.ci_low is None else float(self.ci_low),
-            "ci_high": None if self.ci_high is None else float(self.ci_high),
-            "reference": float(self.reference),
-            "within": bool(self.within),
-        }
-
-    def csv_cells(self) -> list:
-        """label, value, ci_low, ci_high, reference, within, as written to CSV."""
-        return [
-            self.label,
-            repr(float(self.value)),
-            "" if self.ci_low is None else repr(float(self.ci_low)),
-            "" if self.ci_high is None else repr(float(self.ci_high)),
-            repr(float(self.reference)),
-            bool(self.within),
-        ]
 
 
 @dataclass
@@ -143,22 +105,6 @@ class CriterionResult:
         }
 
 
-def _interval_row(label: str, successes: int, trials: int, reference: float) -> Row:
-    est = bernoulli_estimate(successes, trials)
-    return Row(
-        label=label,
-        value=est.rate,
-        reference=reference,
-        within=est.contains(reference),
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-    )
-
-
-def _tolerance_row(label: str, value: float, tolerance: float) -> Row:
-    return Row(label=label, value=value, reference=tolerance, within=value <= tolerance)
-
-
 def _identical_row(label: str, identical: bool) -> Row:
     return Row(label=label, value=float(identical), reference=1.0, within=identical)
 
@@ -169,20 +115,6 @@ def _pair_row(label: str, hits_a: int, hits_b: int, trials: int) -> Row:
     se = math.sqrt(pa * (1 - pa) / trials + pb * (1 - pb) / trials)
     gap = abs(pa - pb)
     return Row(label=label, value=gap, reference=3.0 * se, within=gap <= 3.0 * se + 1e-15)
-
-
-def _mean_row(label: str, samples: np.ndarray, reference: float, sd: float) -> Row:
-    """Sample mean within 3 standard errors, sd / sqrt(samples), of the reference."""
-    mean = float(np.mean(samples))
-    se = sd / math.sqrt(samples.size)
-    return Row(
-        label=label,
-        value=mean,
-        reference=reference,
-        within=abs(mean - reference) <= 3.0 * se,
-        ci_low=mean - 3.0 * se,
-        ci_high=mean + 3.0 * se,
-    )
 
 
 def _mixed_qubit(p1: float) -> QuantumState:
@@ -200,7 +132,7 @@ def criterion_1(seed: int, scale: float, workers: int) -> CriterionResult:
                 state, r0, n, _RATE_CONFIG, _derive(seed, 1, i * 3 + j), workers=workers
             )
             ref = uncollapse_success_probability(state, r0)
-            res.rows.append(_interval_row(f"p1={p1} r0={r0}", ens.successes, ens.n, ref))
+            res.rows.append(interval_row(f"p1={p1} r0={r0}", ens.successes, ens.n, ref))
     return res
 
 
@@ -216,8 +148,8 @@ def criterion_2(seed: int, scale: float, workers: int) -> CriterionResult:
     )
     times = ens.waiting_times
     comp = ks_distance(times, lambda t: waiting_time_cdf(t, r0), reference="waiting-time CDF")
-    res.rows.append(_tolerance_row("ks_distance", comp.statistic, 0.01))
-    res.rows.append(_mean_row("mean_waiting_time", times, abs(r0), float(np.std(times, ddof=1))))
+    res.rows.append(tolerance_row("ks_distance", comp.statistic, 0.01))
+    res.rows.append(mean_row("mean_waiting_time", times, abs(r0), float(np.std(times, ddof=1))))
     return res
 
 
@@ -233,7 +165,7 @@ def criterion_3(seed: int, scale: float, workers: int) -> CriterionResult:
             hits.append(sample_total_uncollapse(
                 _mixed_qubit(p1), tau, n, _derive(seed, 3, i * 10 + j), workers=workers
             ))
-            res.rows.append(_interval_row(f"tau={tau} p1={p1}", hits[j], n, ref))
+            res.rows.append(interval_row(f"tau={tau} p1={p1}", hits[j], n, ref))
         for a in range(len(hits)):
             for b in range(a + 1, len(hits)):
                 label = f"tau={tau} pair {populations[a]}/{populations[b]}"
@@ -252,7 +184,7 @@ def criterion_4(seed: int, scale: float, workers: int) -> CriterionResult:
         op = random_invertible_kraus(rng)
         restored, _, _ = measure_and_uncollapse(op, state)
         worst = max(worst, max_abs(restored.rho - state.rho))
-    res.rows.append(_tolerance_row("abstract_max_error", worst, 1e-9))
+    res.rows.append(tolerance_row("abstract_max_error", worst, 1e-9))
 
     params = DetectorParams(i1=1.1, i2=0.9, s_i=0.04)
     n_runs = _sized(200, scale, 10)
@@ -277,8 +209,8 @@ def criterion_4(seed: int, scale: float, workers: int) -> CriterionResult:
                 break
         else:
             unfinished += 1
-    res.rows.append(_tolerance_row("simulated_max_error", worst_sim, 1e-6))
-    res.rows.append(_tolerance_row("simulated_unfinished_runs", float(unfinished), 0.0))
+    res.rows.append(tolerance_row("simulated_max_error", worst_sim, 1e-6))
+    res.rows.append(tolerance_row("simulated_unfinished_runs", float(unfinished), 0.0))
     return res
 
 
@@ -318,8 +250,8 @@ def criterion_5(seed: int, scale: float, workers: int) -> CriterionResult:
             state = random_density_matrix(2, rng)
             joint = outcome_probability(op, state) * success_probability_bound(op, state)
             worst_joint = max(worst_joint, abs(joint - p_min))
-    res.rows.append(_tolerance_row("prior_restoration_error", worst_prior, 1e-12))
-    res.rows.append(_tolerance_row("joint_state_independence", worst_joint, 1e-12))
+    res.rows.append(tolerance_row("prior_restoration_error", worst_prior, 1e-12))
+    res.rows.append(tolerance_row("joint_state_independence", worst_joint, 1e-12))
     return res
 
 
@@ -345,8 +277,8 @@ def criterion_6(seed: int, scale: float, workers: int) -> CriterionResult:
             worst_alg = max(worst_alg, abs(ref - bound))
             if j == i % 4:  # one Monte Carlo column per strength
                 nulls, successes = protocol_ensemble(state, params, n, _derive(seed, 6, i))
-                mc_rows.append(_interval_row(f"mc p_t={p_t} state={j}", successes, nulls, ref))
-    res.rows.append(_tolerance_row("grid_algebraic_error", worst_alg, 1e-12))
+                mc_rows.append(interval_row(f"mc p_t={p_t} state={j}", successes, nulls, ref))
+    res.rows.append(tolerance_row("grid_algebraic_error", worst_alg, 1e-12))
     res.rows.extend(mc_rows)
 
     params = PhaseMeasurementParams(p_t=0.55, phi=1.1)
@@ -359,7 +291,7 @@ def criterion_6(seed: int, scale: float, workers: int) -> CriterionResult:
         second = null_update(flipped, params)
         restored = pulse @ second.rho @ pulse.conj().T
         worst_map = max(worst_map, max_abs(restored - state.rho))
-    res.rows.append(_tolerance_row("process_identity_error", worst_map, 1e-10))
+    res.rows.append(tolerance_row("process_identity_error", worst_map, 1e-10))
     return res
 
 
@@ -390,20 +322,20 @@ def criterion_7(seed: int, scale: float, workers: int) -> CriterionResult:
         hits = plan_execution_ensemble(
             plan, post, n_runs, walk_cfg, _derive(seed, 7, k, 1), workers=workers
         )
-        res.rows.append(_interval_row(f"op{k} eigenstate", hits, n_runs, 1.0))
+        res.rows.append(interval_row(f"op{k} eigenstate", hits, n_runs, 1.0))
 
         st_in = QuantumState.from_ket(psi_in)
         psi_m = sim.psi / np.linalg.norm(sim.psi)
         bound = success_bound(ext, st_in)
         res.rows.append(
-            _tolerance_row(
+            tolerance_row(
                 f"op{k} plan-vs-bound", abs(plan_success_probability(plan, psi_m) - bound), 1e-10
             )
         )
         hits_r = plan_execution_ensemble(
             plan, psi_m, n_runs, walk_cfg, _derive(seed, 7, k, 2), workers=workers
         )
-        res.rows.append(_interval_row(f"op{k} random state", hits_r, n_runs, bound))
+        res.rows.append(interval_row(f"op{k} random state", hits_r, n_runs, bound))
 
         post_lam = m @ lam_state
         post_lam /= np.linalg.norm(post_lam)
@@ -440,7 +372,7 @@ def criterion_8(seed: int, scale: float, workers: int) -> CriterionResult:
 
         trace_form, normalized_form = stepwise_probabilities(plan, psi_m)
         res.rows.append(
-            _tolerance_row(
+            tolerance_row(
                 f"N={n_qubits} stepwise agreement",
                 float(np.max(np.abs(trace_form - normalized_form))),
                 1e-12,
@@ -448,14 +380,14 @@ def criterion_8(seed: int, scale: float, workers: int) -> CriterionResult:
         )
         ref = multiqubit_success_probability(plan, psi_m)
         res.rows.append(
-            _tolerance_row(
+            tolerance_row(
                 f"N={n_qubits} product-vs-sum", abs(float(np.prod(trace_form)) - ref), 1e-12
             )
         )
         ens = multiqubit_ensemble(plan, psi_m, n_runs, NoiseStream(_derive(seed, 8, n_qubits), 0))
-        res.rows.append(_interval_row(f"N={n_qubits} success rate", ens.successes, n_runs, ref))
+        res.rows.append(interval_row(f"N={n_qubits} success rate", ens.successes, n_runs, ref))
         res.rows.append(
-            _tolerance_row(
+            tolerance_row(
                 f"N={n_qubits} restored error",
                 max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(psi_in, psi_in.conj())),
                 1e-9,
@@ -506,11 +438,11 @@ def criterion_9(seed: int, scale: float, workers: int) -> CriterionResult:
     ref = math.exp(-2.0 * r0)
     n = _sized(100_000, scale, 2_000)
     crossed_oracle = brute_force_crossing(r0, +1.0, n, 1e-4, _derive(seed, 9, 1))
-    res.rows.append(_interval_row("brute-force walk", crossed_oracle, n, ref))
+    res.rows.append(interval_row("brute-force walk", crossed_oracle, n, ref))
     ens = run_first_passage_ensemble(
         r0, +1.0, n, _RATE_CONFIG, _derive(seed, 9, 2), workers=workers
     )
-    res.rows.append(_interval_row("trajectory engine", ens.crossed, ens.n, ref))
+    res.rows.append(interval_row("trajectory engine", ens.crossed, ens.n, ref))
     res.rows.append(_pair_row("oracle-vs-engine", crossed_oracle, ens.crossed, n))
     return res
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import QuantumState
+from . import measurement
 
 DIFFUSION = 0.5
 DRIFT = {1: 1.0, 2: -1.0}
@@ -83,7 +83,7 @@ def dimensionless_result(i_bar: float, duration: float, params: DetectorParams) 
     return params.delta_i * duration * (i_bar - params.i0) / params.s_i
 
 
-def qnd_posterior(state: QuantumState, r: float) -> QuantumState:
+def qnd_posterior(state: measurement.QuantumState, r: float) -> measurement.QuantumState:
     """Qubit state after a readout with result r (no Hamiltonian evolution).
 
     Populations update by the classical Bayes rule, multiplying the
@@ -108,10 +108,10 @@ def qnd_posterior(state: QuantumState, r: float) -> QuantumState:
          [rho[1, 0] * math.exp(-abs(r)) / z, p2 * b / z]],
         dtype=complex,
     )
-    return QuantumState(rho=out, pure=state.pure)
+    return measurement.QuantumState(rho=out, pure=state.pure)
 
 
-def uncollapse_success_probability(state: QuantumState, r0: float) -> float:
+def uncollapse_success_probability(state: measurement.QuantumState, r0: float) -> float:
     """Probability that waiting returns the readout to zero, undoing it.
 
     exp(-|r0|) / (exp(r0) rho11 + exp(-r0) rho22), evaluated on the state

@@ -19,51 +19,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .acceptance import (
-    Row,
-    _derive,
-    _interval_row,
-    _mean_row,
-    _tolerance_row,
-    render_acceptance_csv,
-    render_acceptance_json,
-    run_acceptance,
-)
-from .charge import (
-    DetectorParams,
-    total_success_probability,
-    uncollapse_success_probability,
-    waiting_time_cdf,
-    waiting_time_moments,
-    waiting_time_pdf,
-)
-from .evolving import plan_from_kraus, plan_success_probability, success_bound, plan_execution_ensemble
-from .linalg import max_abs
-from .measurement import (
-    ImpossibleOutcomeError,
-    QuantumState,
-    UncollapseImpossibleError,
-    random_invertible_kraus,
-)
-from .multiqubit import build_plan, stepwise_probabilities
-from .multiqubit import protocol_ensemble as multiqubit_ensemble
-from .multiqubit import success_probability as multiqubit_success_probability
-from .phase import PhaseMeasurementParams, protocol_ensemble
-from .phase import joint_success as phase_joint_success
-from .phase import success_probability as phase_success_probability
-from .trajectory import (
-    NoiseStream,
-    TrajectoryConfig,
-    sample_total_uncollapse,
-    simulate_evolving_pure,
-    wait_and_stop_ensemble,
-)
+from . import __version__, acceptance, charge, evolving, linalg, measurement, multiqubit, phase, stats, trajectory
 
 ENV_PREFIX = "UNCOLLAPSE_"
 EXIT_OK = 0
@@ -111,8 +72,8 @@ class ExperimentConfig:
     sweep_parameter: str | None = None
     sweep_values: tuple = ()
 
-    def trajectory_config(self) -> TrajectoryConfig:
-        return TrajectoryConfig(
+    def trajectory_config(self) -> trajectory.TrajectoryConfig:
+        return trajectory.TrajectoryConfig(
             d_tau=self.d_tau,
             tau_max=self.tau_max,
             escape_radius=self.escape_radius,
@@ -120,24 +81,24 @@ class ExperimentConfig:
             coupling=self.coupling,
         )
 
-    def detector_params(self) -> DetectorParams:
+    def detector_params(self) -> charge.DetectorParams:
         d = self.detector
         try:
-            return DetectorParams(i1=float(d["i1"]), i2=float(d["i2"]), s_i=float(d["s_i"]))
+            return charge.DetectorParams(i1=float(d["i1"]), i2=float(d["i2"]), s_i=float(d["s_i"]))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"detector needs i1, i2, s_i: {exc}") from exc
 
-    def initial_state(self) -> QuantumState:
+    def initial_state(self) -> measurement.QuantumState:
         if isinstance(self.state, str):
             if self.state == "mixed":
-                return QuantumState.maximally_mixed(2)
+                return measurement.QuantumState.maximally_mixed(2)
             if self.state in STATE_PRESETS:
-                return QuantumState.from_ket(STATE_PRESETS[self.state])
+                return measurement.QuantumState.from_ket(STATE_PRESETS[self.state])
             raise ConfigError(f"unknown state preset {self.state!r}")
         if isinstance(self.state, dict) and "rho" in self.state:
             rho = np.array([[complex(*_pair(z)) for z in row] for row in self.state["rho"]])
             try:
-                return QuantumState(rho=rho)
+                return measurement.QuantumState(rho=rho)
             except ValueError as exc:
                 raise ConfigError(f"invalid explicit state: {exc}") from exc
         raise ConfigError("state must be a preset name or {'rho': [[...]]}")
@@ -255,7 +216,7 @@ def _check_point(cfg: ExperimentConfig) -> None:
         _check_multiqubit(cfg)
     elif cfg.kind == "phase":
         try:
-            PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
+            phase.PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     elif cfg.kind in ("charge-total", "charge-evolving") and not cfg.duration_tau > 0.0:
@@ -271,7 +232,7 @@ def _sweep_points(cfg: ExperimentConfig):
         yield raw, replace(
             cfg,
             **{cfg.sweep_parameter: cast(raw)},
-            seed=_derive(cfg.seed, index),
+            seed=trajectory._derive(cfg.seed, index),
             sweep_parameter=None,
             sweep_values=(),
         )
@@ -309,66 +270,68 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 # experiments (uniform Row output)
 
 
-def run_charge_qnd(cfg: ExperimentConfig) -> list[Row]:
+def run_charge_qnd(cfg: ExperimentConfig) -> list[stats.Row]:
     state = cfg.initial_state()
-    ens = wait_and_stop_ensemble(
+    ens = trajectory.wait_and_stop_ensemble(
         state, cfg.r0, cfg.trajectories, cfg.trajectory_config(), cfg.seed,
         collect_times=True, workers=cfg.workers,
     )
-    ref = uncollapse_success_probability(state, cfg.r0)
-    rows = [_interval_row("success_rate", ens.successes, ens.n, ref)]
+    ref = charge.uncollapse_success_probability(state, cfg.r0)
+    rows = [stats.interval_row("success_rate", ens.successes, ens.n, ref)]
     if ens.waiting_times is not None and ens.waiting_times.size:
         # the law's standard deviation sqrt(|r0|): at small r0 the mean comes
         # from rare long waits, which a sample's own spread misses
-        rows.append(_mean_row("mean_waiting_time", ens.waiting_times, abs(cfg.r0), math.sqrt(abs(cfg.r0))))
-    rows.append(_tolerance_row("residual_success_bound", ens.residual_success_bound / ens.n, 1e-4))
+        sd = math.sqrt(abs(cfg.r0))
+        rows.append(stats.mean_row("mean_waiting_time", ens.waiting_times, abs(cfg.r0), sd))
+    rows.append(stats.tolerance_row("residual_success_bound", ens.residual_success_bound / ens.n, 1e-4))
     return rows
 
 
-def run_charge_total(cfg: ExperimentConfig) -> list[Row]:
+def run_charge_total(cfg: ExperimentConfig) -> list[stats.Row]:
     state = cfg.initial_state()
-    hits = sample_total_uncollapse(
+    hits = trajectory.sample_total_uncollapse(
         state, cfg.duration_tau, cfg.trajectories, cfg.seed, workers=cfg.workers
     )
-    ref = float(total_success_probability(cfg.duration_tau))
-    return [_interval_row("total_success_rate", hits, cfg.trajectories, ref)]
+    ref = float(charge.total_success_probability(cfg.duration_tau))
+    return [stats.interval_row("total_success_rate", hits, cfg.trajectories, ref)]
 
 
-def run_charge_evolving(cfg: ExperimentConfig) -> list[Row]:
+def run_charge_evolving(cfg: ExperimentConfig) -> list[stats.Row]:
     state = cfg.initial_state()
     if not state.pure:
         raise ConfigError("charge-evolving runs need a pure initial state")
     psi_in = np.linalg.eigh(state.rho).eigenvectors[:, -1]
     params = cfg.detector_params()
     sim_cfg = cfg.trajectory_config()
-    sim = simulate_evolving_pure(
+    sim = trajectory.simulate_evolving_pure(
         psi_in, cfg.duration_tau, params, replace(sim_cfg, d_tau=min(sim_cfg.d_tau, EVOLVING_MAX_D_TAU)),
-        NoiseStream(cfg.seed, 0),
+        trajectory.NoiseStream(cfg.seed, 0),
     )
-    plan = plan_from_kraus(sim.extraction, choice=1)
+    plan = evolving.plan_from_kraus(sim.extraction, choice=1)
     psi_m = sim.psi / np.linalg.norm(sim.psi)
-    bound = success_bound(sim.extraction, state)
+    bound = evolving.success_bound(sim.extraction, state)
     walk_cfg = replace(sim_cfg, epsilon=0.0, coupling=0.0)
-    hits = plan_execution_ensemble(
-        plan, psi_m, cfg.trajectories, walk_cfg, _derive(cfg.seed, 1), workers=cfg.workers
+    hits = evolving.plan_execution_ensemble(
+        plan, psi_m, cfg.trajectories, walk_cfg, trajectory._derive(cfg.seed, 1), workers=cfg.workers
     )
-    rows = [_interval_row("success_rate", hits, cfg.trajectories, bound)]
-    rows.append(_tolerance_row("plan_vs_bound", abs(plan_success_probability(plan, psi_m) - bound), 1e-10))
-    rows.append(Row(label="readout_target", value=plan.target_r, reference=plan.target_r, within=True))
+    rows = [stats.interval_row("success_rate", hits, cfg.trajectories, bound)]
+    gap = abs(evolving.plan_success_probability(plan, psi_m) - bound)
+    rows.append(stats.tolerance_row("plan_vs_bound", gap, 1e-10))
+    rows.append(stats.Row(label="readout_target", value=plan.target_r, reference=plan.target_r, within=True))
     return rows
 
 
-def run_phase(cfg: ExperimentConfig) -> list[Row]:
+def run_phase(cfg: ExperimentConfig) -> list[stats.Row]:
     state = cfg.initial_state()
-    params = PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
-    nulls, successes = protocol_ensemble(state, params, cfg.trajectories, cfg.seed)
-    ref = phase_success_probability(state, params)
+    params = phase.PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
+    nulls, successes = phase.protocol_ensemble(state, params, cfg.trajectories, cfg.seed)
+    ref = phase.success_probability(state, params)
     rows = []
     if nulls == 0:
-        raise ImpossibleOutcomeError("no null results observed; p_t too strong for this state")
-    rows.append(_interval_row("success_rate_given_null", successes, nulls, ref))
+        raise measurement.ImpossibleOutcomeError("no null results observed; p_t too strong for this state")
+    rows.append(stats.interval_row("success_rate_given_null", successes, nulls, ref))
     rows.append(
-        _interval_row("joint_success_rate", successes, cfg.trajectories, phase_joint_success(params))
+        stats.interval_row("joint_success_rate", successes, cfg.trajectories, phase.joint_success(params))
     )
     return rows
 
@@ -380,41 +343,41 @@ def _check_multiqubit(cfg: ExperimentConfig) -> None:
         raise ConfigError("n_qubits must be between 1 and 6")
 
 
-def run_multiqubit(cfg: ExperimentConfig) -> list[Row]:
+def run_multiqubit(cfg: ExperimentConfig) -> list[stats.Row]:
     dim = 2**cfg.n_qubits
-    rng = NoiseStream(cfg.seed, 0).generator()
-    op = random_invertible_kraus(rng, dim)
-    plan = build_plan(op, gamma=cfg.gamma)
+    rng = trajectory.NoiseStream(cfg.seed, 0).generator()
+    op = measurement.random_invertible_kraus(rng, dim)
+    plan = multiqubit.build_plan(op, gamma=cfg.gamma)
     psi_in = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi_in /= np.linalg.norm(psi_in)
     psi_m = op.matrix @ psi_in
     psi_m /= np.linalg.norm(psi_m)
-    ref = multiqubit_success_probability(plan, psi_m)
-    trace_form, normalized_form = stepwise_probabilities(plan, psi_m)
-    ens = multiqubit_ensemble(
-        plan, psi_m, cfg.trajectories, NoiseStream(_derive(cfg.seed, 2), 0)
+    ref = multiqubit.success_probability(plan, psi_m)
+    trace_form, normalized_form = multiqubit.stepwise_probabilities(plan, psi_m)
+    ens = multiqubit.protocol_ensemble(
+        plan, psi_m, cfg.trajectories, trajectory.NoiseStream(trajectory._derive(cfg.seed, 2), 0)
     )
-    rows = [_interval_row("success_rate", ens.successes, ens.n, ref)]
+    rows = [stats.interval_row("success_rate", ens.successes, ens.n, ref)]
     agreement = float(np.max(np.abs(trace_form - normalized_form)))
-    rows.append(_tolerance_row("stepwise_agreement", agreement, 1e-12))
-    restore = max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(psi_in, psi_in.conj()))
-    rows.append(_tolerance_row("restoration_error", restore, 1e-9))
+    rows.append(stats.tolerance_row("stepwise_agreement", agreement, 1e-12))
+    restore = linalg.max_abs(np.outer(ens.restored, ens.restored.conj()) - np.outer(psi_in, psi_in.conj()))
+    rows.append(stats.tolerance_row("restoration_error", restore, 1e-9))
     return rows
 
 
-def run_analytics(cfg: ExperimentConfig) -> tuple[list[Row], list[dict]]:
+def run_analytics(cfg: ExperimentConfig) -> tuple[list[stats.Row], list[dict]]:
     """Plot-ready waiting-time curves plus their moments."""
     rows = []
     curves = []
     for r0 in cfg.r0_grid:
-        mean, std, mode = waiting_time_moments(r0)
-        rows.append(Row(label=f"mean r0={r0}", value=mean, reference=mean, within=True))
-        rows.append(Row(label=f"std r0={r0}", value=std, reference=std, within=True))
-        rows.append(Row(label=f"mode r0={r0}", value=mode, reference=mode, within=True))
+        mean, std, mode = charge.waiting_time_moments(r0)
+        rows.append(stats.Row(label=f"mean r0={r0}", value=mean, reference=mean, within=True))
+        rows.append(stats.Row(label=f"std r0={r0}", value=std, reference=std, within=True))
+        rows.append(stats.Row(label=f"mode r0={r0}", value=mode, reference=mode, within=True))
         hi = mean + 6.0 * std + 1.0
         taus = np.linspace(hi / cfg.tau_grid_points, hi, cfg.tau_grid_points)
-        pdf = waiting_time_pdf(taus, r0)
-        cdf = waiting_time_cdf(taus, r0)
+        pdf = charge.waiting_time_pdf(taus, r0)
+        cdf = charge.waiting_time_cdf(taus, r0)
         for t, p, c in zip(taus, pdf, cdf):
             curves.append({"r0": r0, "tau": float(t), "pdf": float(p), "cdf": float(c)})
     return rows, curves
@@ -424,7 +387,7 @@ def run_analytics(cfg: ExperimentConfig) -> tuple[list[Row], list[dict]]:
 # output plumbing
 
 
-def _rows_csv(rows: list[Row]) -> str:
+def _rows_csv(rows: list[stats.Row]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "value", "ci_low", "ci_high", "reference", "within"])
@@ -443,12 +406,12 @@ def _curves_csv(curves: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _write_outputs(cfg: ExperimentConfig, rows: list[Row], curves: list[dict] | None = None) -> bool:
+def _write_outputs(cfg: ExperimentConfig, rows: list[stats.Row], curves: list[dict] | None = None) -> bool:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True, default=list) + "\n"
-    )
+    # a shallow field dict: asdict would deep-copy every value for the same bytes
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    (out / "effective_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True, default=list) + "\n")
     summary = {
         "version": __version__,
         "kind": cfg.kind,
@@ -473,7 +436,7 @@ _RUNNERS = {
 }
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[Row]:
+def run_sweep(cfg: ExperimentConfig) -> list[stats.Row]:
     if cfg.sweep_parameter is None:
         raise ConfigError("sweep needs sweep_parameter and sweep_values")
     if cfg.sweep_parameter not in _SWEEPABLE:
@@ -482,7 +445,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[Row]:
         )
     if cfg.kind not in _RUNNERS:
         raise ConfigError(f"sweep base kind must be one of {sorted(_RUNNERS)}")
-    rows: list[Row] = []
+    rows: list[stats.Row] = []
     for raw, point in _sweep_points(cfg):
         rows.extend(
             replace(row, label=f"{cfg.sweep_parameter}={raw} {row.label}")
@@ -533,14 +496,14 @@ def _selftest(cfg: ExperimentConfig, scale: float, criteria: str | None) -> int:
             raise ConfigError(f"bad --criteria list: {criteria!r}") from exc
         if any(i < 1 or i > 10 for i in indices):
             raise ConfigError("criteria indices must be in 1..10")
-    results = run_acceptance(seed=cfg.seed, scale=scale, workers=cfg.workers, indices=indices)
+    results = acceptance.run_acceptance(seed=cfg.seed, scale=scale, workers=cfg.workers, indices=indices)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} criterion {r.index}: {r.name} ({r.runtime_s:.1f}s)")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "acceptance.json").write_text(render_acceptance_json(results, cfg.seed, scale))
-    (out / "acceptance.csv").write_text(render_acceptance_csv(results))
+    (out / "acceptance.json").write_text(acceptance.render_acceptance_json(results, cfg.seed, scale))
+    (out / "acceptance.csv").write_text(acceptance.render_acceptance_csv(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_ACCEPTANCE
 
 
@@ -581,8 +544,8 @@ def main(argv: list[str] | None = None) -> int:
         _write_outputs(cfg, rows)
         return EXIT_OK
     except (
-        ImpossibleOutcomeError,
-        UncollapseImpossibleError,
+        measurement.ImpossibleOutcomeError,
+        measurement.UncollapseImpossibleError,
         FloatingPointError,
         OverflowError,
         ZeroDivisionError,

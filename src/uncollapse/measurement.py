@@ -261,9 +261,9 @@ def _restricted_minimum(eig: HermEig, support: np.ndarray | None, element: np.nd
 def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     """Optimal reversal operator for the outcome M, with |C| = sqrt(min eig M†M).
 
-    The undo is: apply U_m† (U_m from the polar form of M), then realize
-    L as a measurement outcome.  Projective inputs (minimum eigenvalue at
-    or below the threshold) cannot be undone.
+    The undo is: apply U_m† (U_m = M E^{-1/2}, the unitary of the polar
+    form of M), then realize L as a measurement outcome.  Projective
+    inputs (minimum eigenvalue at or below the threshold) cannot be undone.
     """
     element = op.povm_element()
     eig = herm_eig(element)
@@ -277,6 +277,11 @@ def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     l = magnitude * inv_sqrt
     l = 0.5 * (l + l.conj().T)
     return UncollapseOperator(matrix=l, magnitude=magnitude, source_element=element)
+
+
+def _unitary_part(op: KrausOperator, unc: UncollapseOperator) -> np.ndarray:
+    """U_m = M E^{-1/2} = M L / |C|, from the reversal operator already built; no SVD."""
+    return op.matrix @ unc.matrix / unc.magnitude
 
 
 def success_probability_bound(
@@ -342,7 +347,7 @@ def pair_update(
     if unc is None:
         unc = build_uncollapse(op)
     after_m = bayes_update(prior, op)
-    u_m = polar_decompose(op).unitary
+    u_m = _unitary_part(op, unc)
     likelihood = np.array([_undo_success_probability(op, u_m, unc, s) for s in prior.states])
     weights = likelihood * after_m.weights
     total = weights.sum()
@@ -362,7 +367,7 @@ def measure_and_uncollapse(
     if unc is None:
         unc = build_uncollapse(op)
     rho_m, p_outcome = apply_measurement(op, state)
-    u_m = polar_decompose(op).unitary
+    u_m = _unitary_part(op, unc)
     rotated = u_m.conj().T @ rho_m.rho @ u_m
     rotated = QuantumState(rho=0.5 * (rotated + rotated.conj().T), pure=rho_m.pure)
     after_l, p_success = apply_measurement(KrausOperator(unc.matrix, label="undo"), rotated)

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import u2_exp
-from .measurement import KrausOperator, PovmSet, QuantumState
-from .trajectory import NoiseStream, _as_generator
+from . import linalg, measurement, trajectory
 
 
 @dataclass(frozen=True)
@@ -37,27 +35,27 @@ class PhaseMeasurementParams:
 
 def pi_pulse() -> np.ndarray:
     """Microwave pulse exchanging the two level amplitudes (up to phase)."""
-    return u2_exp(0.0, 1.0, 0.5 * math.pi)
+    return linalg.u2_exp(0.0, 1.0, 0.5 * math.pi)
 
 
-def null_kraus(params: PhaseMeasurementParams) -> KrausOperator:
+def null_kraus(params: PhaseMeasurementParams) -> measurement.KrausOperator:
     """Measurement operator of the no-tunneling outcome."""
     m = np.diag([1.0, math.sqrt(1.0 - params.p_t) * np.exp(-1j * params.phi)])
-    return KrausOperator(matrix=m, label="null")
+    return measurement.KrausOperator(matrix=m, label="null")
 
 
-def null_povm(params: PhaseMeasurementParams) -> PovmSet:
+def null_povm(params: PhaseMeasurementParams) -> measurement.PovmSet:
     """Two-outcome set {no tunneling, tunneling}.
 
     The tunneling branch destroys the qubit, so its operator here is a
     formal square root of the element diag(0, p_t) kept only for
     completeness bookkeeping; the simulator never applies it to a state.
     """
-    tunneled = KrausOperator(matrix=np.diag([0.0, math.sqrt(params.p_t)]), label="tunneled")
-    return PovmSet(operators=(null_kraus(params), tunneled))
+    tunneled = measurement.KrausOperator(matrix=np.diag([0.0, math.sqrt(params.p_t)]), label="tunneled")
+    return measurement.PovmSet(operators=(null_kraus(params), tunneled))
 
 
-def null_update(state: QuantumState, params: PhaseMeasurementParams) -> QuantumState:
+def null_update(state: measurement.QuantumState, params: PhaseMeasurementParams) -> measurement.QuantumState:
     """State after a no-tunneling round.
 
     The population ratio rho11/rho22 is divided by (1 - p_t) and the
@@ -69,18 +67,20 @@ def null_update(state: QuantumState, params: PhaseMeasurementParams) -> QuantumS
     m = null_kraus(params).matrix
     rho = m @ state.rho @ m.conj().T
     rho = rho / np.trace(rho).real
-    return QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state.pure)
+    return measurement.QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state.pure)
 
 
 @dataclass(frozen=True)
 class PhaseOutcome:
     tunneled: bool
-    state: QuantumState | None  # None when the qubit left its Hilbert space
+    state: measurement.QuantumState | None  # None when the qubit left its Hilbert space
 
 
-def sample_measurement(state: QuantumState, params: PhaseMeasurementParams, stream) -> PhaseOutcome:
+def sample_measurement(
+    state: measurement.QuantumState, params: PhaseMeasurementParams, stream
+) -> PhaseOutcome:
     """One measurement round: tunneling destroys the qubit, else update."""
-    gen = _as_generator(stream)
+    gen = trajectory._as_generator(stream)
     p_tunnel = params.p_t * float(state.rho[1, 1].real)
     if gen.random() < p_tunnel:
         return PhaseOutcome(tunneled=True, state=None)
@@ -90,25 +90,27 @@ def sample_measurement(state: QuantumState, params: PhaseMeasurementParams, stre
 @dataclass(frozen=True)
 class ProtocolResult:
     success: bool
-    restored: QuantumState | None
+    restored: measurement.QuantumState | None
 
 
-def uncollapse_protocol(state_m: QuantumState, params: PhaseMeasurementParams, stream) -> ProtocolResult:
+def uncollapse_protocol(
+    state_m: measurement.QuantumState, params: PhaseMeasurementParams, stream
+) -> ProtocolResult:
     """Pi pulse, identical measurement, pi pulse.
 
     Conditioned on the second null result the qubit returns exactly to
     its pre-measurement state, including cancellation of the phase phi.
     """
-    gen = _as_generator(stream)
+    gen = trajectory._as_generator(stream)
     pulse = pi_pulse()
     rho = pulse @ state_m.rho @ pulse.conj().T
-    flipped = QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state_m.pure)
+    flipped = measurement.QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state_m.pure)
     outcome = sample_measurement(flipped, params, gen)
     if outcome.tunneled:
         return ProtocolResult(success=False, restored=None)
     rho = pulse @ outcome.state.rho @ pulse.conj().T
     return ProtocolResult(
-        success=True, restored=QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state_m.pure)
+        success=True, restored=measurement.QuantumState(rho=0.5 * (rho + rho.conj().T), pure=state_m.pure)
     )
 
 
@@ -122,7 +124,7 @@ def protocol_operator(params: PhaseMeasurementParams) -> np.ndarray:
     return pulse @ null_kraus(params).matrix @ pulse
 
 
-def success_probability(state_in: QuantumState, params: PhaseMeasurementParams) -> float:
+def success_probability(state_in: measurement.QuantumState, params: PhaseMeasurementParams) -> float:
     """Chance the reversal round is tunnel-free, for a given initial state.
 
     (1 - p_t) / (rho11 + (1 - p_t) rho22), evaluated before the first
@@ -145,7 +147,8 @@ def joint_success(params: PhaseMeasurementParams) -> float:
 
 
 def protocol_ensemble(
-    state_in: QuantumState, params: PhaseMeasurementParams, n: int, seed: int, *, stream_offset: int = 0
+    state_in: measurement.QuantumState, params: PhaseMeasurementParams, n: int, seed: int, *,
+    stream_offset: int = 0,
 ) -> tuple[int, int]:
     """Many full runs from a fresh initial state: measure, then try to undo.
 
@@ -160,7 +163,7 @@ def protocol_ensemble(
     pulse = pi_pulse()
     rho_flipped = pulse @ after.rho @ pulse.conj().T
     p_null_2 = 1.0 - params.p_t * float(rho_flipped[1, 1].real)
-    gen = NoiseStream(seed, stream_offset).generator()
+    gen = trajectory.NoiseStream(seed, stream_offset).generator()
     first = gen.random(n) < p_null_1
     second = gen.random(n) < p_null_2
     nulls = int(np.count_nonzero(first))

@@ -56,6 +56,70 @@ def bernoulli_estimate(successes: int, trials: int, z: float = DEFAULT_Z) -> Ber
 
 
 @dataclass(frozen=True)
+class Row:
+    """One result row: an estimate, its optional interval, a reference and a pass flag."""
+
+    label: str
+    value: float
+    reference: float
+    within: bool
+    ci_low: float | None = None
+    ci_high: float | None = None
+
+    def as_record(self) -> dict:
+        return {
+            "label": self.label,
+            "value": float(self.value),
+            "ci_low": None if self.ci_low is None else float(self.ci_low),
+            "ci_high": None if self.ci_high is None else float(self.ci_high),
+            "reference": float(self.reference),
+            "within": bool(self.within),
+        }
+
+    def csv_cells(self) -> list:
+        """label, value, ci_low, ci_high, reference, within, as written to CSV."""
+        return [
+            self.label,
+            repr(float(self.value)),
+            "" if self.ci_low is None else repr(float(self.ci_low)),
+            "" if self.ci_high is None else repr(float(self.ci_high)),
+            repr(float(self.reference)),
+            bool(self.within),
+        ]
+
+
+def interval_row(label: str, successes: int, trials: int, reference: float) -> Row:
+    """A success rate, its Wilson interval, and whether the reference lies inside."""
+    est = bernoulli_estimate(successes, trials)
+    return Row(
+        label=label,
+        value=est.rate,
+        reference=reference,
+        within=est.contains(reference),
+        ci_low=est.ci_low,
+        ci_high=est.ci_high,
+    )
+
+
+def tolerance_row(label: str, value: float, tolerance: float) -> Row:
+    return Row(label=label, value=value, reference=tolerance, within=value <= tolerance)
+
+
+def mean_row(label: str, samples: np.ndarray, reference: float, sd: float) -> Row:
+    """Sample mean within 3 standard errors, sd / sqrt(samples), of the reference."""
+    mean = float(np.mean(samples))
+    se = sd / math.sqrt(samples.size)
+    return Row(
+        label=label,
+        value=mean,
+        reference=reference,
+        within=abs(mean - reference) <= 3.0 * se,
+        ci_low=mean - 3.0 * se,
+        ci_high=mean + 3.0 * se,
+    )
+
+
+@dataclass(frozen=True)
 class EcdfComparison:
     """Kolmogorov-Smirnov distance of a sample to a reference CDF."""
 

@@ -39,12 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charge import DRIFT, DetectorParams, qnd_posterior
-from .linalg import u2_exp
-from .measurement import QuantumState
+from . import charge, linalg, measurement
 
 BLOCK_SIZE = 16384
 _CHUNK = 4096  # walker-steps drawn per chunk of the walk
+_MIX = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,14 @@ class NoiseStream:
 
     def child(self, index: int) -> "NoiseStream":
         return NoiseStream(seed=self.seed, index=index)
+
+
+def _derive(seed: int, *indices: int) -> int:
+    """The package's one seed derivation: a 64-bit seed per index path under a master seed."""
+    out = seed & 0xFFFFFFFFFFFFFFFF
+    for k in indices:
+        out = (out * _MIX + k + 1) & 0xFFFFFFFFFFFFFFFF
+    return out
 
 
 def _as_generator(stream) -> np.random.Generator:
@@ -135,7 +142,7 @@ class TrajectoryRecord:
 class WaitAndStopResult:
     success: bool
     waiting_time: float | None  # units of T_M
-    restored: QuantumState | None
+    restored: measurement.QuantumState | None
     record: TrajectoryRecord | None
 
 
@@ -330,7 +337,8 @@ def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stre
         raise ValueError("r_start must be away from the boundary")
     gen = _as_generator(stream)
     sign = 1.0 if r_start > 0.0 else -1.0
-    walk = _walk(gen, 1, abs(r_start), DRIFT[true_state] * sign, config, collect_times=True, keep_path=True)
+    drift = charge.DRIFT[true_state] * sign
+    walk = _walk(gen, 1, abs(r_start), drift, config, collect_times=True, keep_path=True)
     return TrajectoryRecord(
         r_path=sign * walk.path,
         increments=sign * walk.increments,
@@ -340,7 +348,9 @@ def simulate_qnd(true_state: int, r_start: float, config: TrajectoryConfig, stre
     )
 
 
-def wait_and_stop(state: QuantumState, r0: float, config: TrajectoryConfig, stream) -> WaitAndStopResult:
+def wait_and_stop(
+    state: measurement.QuantumState, r0: float, config: TrajectoryConfig, stream
+) -> WaitAndStopResult:
     """Keep measuring after a readout r0 and stop when the total returns to 0.
 
     The true basis state is sampled from the populations updated by the
@@ -352,7 +362,7 @@ def wait_and_stop(state: QuantumState, r0: float, config: TrajectoryConfig, stre
     gen = _as_generator(stream)
     if r0 == 0.0:
         return WaitAndStopResult(success=True, waiting_time=0.0, restored=state, record=None)
-    posterior = qnd_posterior(state, r0)
+    posterior = charge.qnd_posterior(state, r0)
     p2 = float(posterior.rho[1, 1].real)
     true_state = 2 if gen.random() < p2 else 1
     record = simulate_qnd(true_state, r0, config, gen)
@@ -470,7 +480,7 @@ def _reversal_block(gen: np.random.Generator, count: int, p2: float, x0: float, 
 
 
 def wait_and_stop_ensemble(
-    state: QuantumState,
+    state: measurement.QuantumState,
     r0: float,
     n: int,
     config: TrajectoryConfig,
@@ -495,10 +505,10 @@ def wait_and_stop_ensemble(
         return WaitAndStopEnsemble(
             n=n, successes=n, state1_count=0, waiting_times=times, timed_out=0
         )
-    p2 = float(qnd_posterior(state, r0).rho[1, 1].real)
+    p2 = float(charge.qnd_posterior(state, r0).rho[1, 1].real)
     hits, state1, timed_out, times = _ensemble(
         _reversal_block, n, seed, stream_offset, workers,
-        p2, abs(r0), math.copysign(DRIFT[1], r0), config, collect_times,
+        p2, abs(r0), math.copysign(charge.DRIFT[1], r0), config, collect_times,
     )
     return WaitAndStopEnsemble(
         n=n, successes=sum(hits), state1_count=sum(state1),
@@ -528,7 +538,7 @@ def targeted_ensemble(
         return n
     hits = _ensemble(
         _reversal_block, n, seed, stream_offset, workers,
-        1.0 - p_state1, abs(target_r), -math.copysign(DRIFT[1], target_r), config, False,
+        1.0 - p_state1, abs(target_r), -math.copysign(charge.DRIFT[1], target_r), config, False,
     )[0]
     return int(sum(hits))
 
@@ -543,7 +553,8 @@ def _total_uncollapse_block(gen: np.random.Generator, count: int, p2: float, tau
 
 
 def sample_total_uncollapse(
-    state: QuantumState, tau1: float, n: int, seed: int, *, stream_offset: int = 0, workers: int = 1
+    state: measurement.QuantumState, tau1: float, n: int, seed: int, *,
+    stream_offset: int = 0, workers: int = 1,
 ) -> int:
     """Successes of measure-for-tau1-then-undo, marginalized over the wait.
 
@@ -566,14 +577,14 @@ def sample_total_uncollapse(
 # evolving qubit
 
 
-def detector_current(state, params: DetectorParams, dt: float, stream) -> float:
+def detector_current(state, params: charge.DetectorParams, dt: float, stream) -> float:
     """One sampled detector output: rho11 I1 + rho22 I2 + white noise.
 
     The noise sample has variance (S_I / 2) / dt, the coarse-grained
     white-noise variance over an averaging window dt.
     """
     gen = _as_generator(stream)
-    if isinstance(state, QuantumState):
+    if isinstance(state, measurement.QuantumState):
         p1 = float(state.rho[0, 0].real)
     else:
         psi = np.asarray(state, dtype=complex).reshape(-1)
@@ -593,7 +604,7 @@ class EvolvingResult:
 def simulate_evolving_pure(
     psi_in,
     duration_tau: float,
-    params: DetectorParams,
+    params: charge.DetectorParams,
     config: TrajectoryConfig,
     stream,
 ) -> EvolvingResult:
@@ -624,7 +635,7 @@ def simulate_evolving_pure(
     n_steps = int(round(duration_tau / config.d_tau))
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
-    u_half = u2_exp(config.epsilon, config.coupling, 0.5 * dt)
+    u_half = linalg.u2_exp(config.epsilon, config.coupling, 0.5 * dt)
     u_full = u_half @ u_half
 
     sigma_xi = math.sqrt(params.s_i / (2.0 * dt))
@@ -711,5 +722,5 @@ def targeted_measurement(
     gen = _as_generator(stream)
     sign = 1.0 if target_r > 0.0 else -1.0
     # fold onto the standard first passage: x = target - r, drift flips sign
-    hits, _, times = _stop_times(gen, abs(target_r), -DRIFT[true_state] * sign, 1, config)
+    hits, _, times = _stop_times(gen, abs(target_r), -charge.DRIFT[true_state] * sign, 1, config)
     return bool(hits), (float(times[0]) if hits else None)

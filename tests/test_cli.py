@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +425,57 @@ def test_bad_sweep_point_rejected_at_load(tmp_path, config):
     good = dict(config, sweep_values=config["sweep_values"][:-1])
     path.write_text(json.dumps({"trajectories": 100, **good}))
     assert cli.load_config(str(path), {}).sweep_values == tuple(good["sweep_values"])
+
+
+# a lazily registered submodule keeps its LazyLoader class until its code runs
+_MODULES_PROBE = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+def ran():
+    return sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
+                  if n.startswith("uncollapse.") and type(m) is types.ModuleType)
+seen = {}
+import uncollapse
+seen["import"] = ran()
+seen["registered"] = sorted(n.split(".", 1)[1] for n in sys.modules if n.startswith("uncollapse."))
+import uncollapse.cli
+if sys.argv[2] == "run":
+    uncollapse.cli.main(["run", "--config", sys.argv[3], "--out", sys.argv[4]])
+    seen["run"] = ran()
+else:
+    uncollapse.cli.load_config(sys.argv[3], {})
+    seen["sweep_config"] = ran()
+    uncollapse.cli.load_config(sys.argv[4], {})
+    seen["phase_config"] = ran()
+    seen["resolves"] = callable(uncollapse.evolving.plan_from_kraus)
+print(json.dumps(seen))
+"""
+
+
+def _modules_run(*args):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, package_root, *map(str, args)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_each_submodule_runs_on_first_use(tmp_path):
+    sweep, phase, run = (tmp_path / name for name in ("sweep.json", "phase.json", "run.json"))
+    sweep.write_text(json.dumps({
+        "kind": "charge-qnd", "trajectories": 100, "sweep_parameter": "r0", "sweep_values": [0.5, 1.0],
+    }))
+    phase.write_text(json.dumps({"kind": "phase", "trajectories": 100}))
+    run.write_text(json.dumps({"kind": "charge-qnd", "trajectories": 100}))
+    seen = _modules_run("load", sweep, phase)
+    assert seen["import"] == []
+    assert seen["registered"] == [
+        "acceptance", "charge", "evolving", "linalg", "measurement", "multiqubit", "phase", "stats", "trajectory",
+    ]
+    assert seen["sweep_config"] == ["cli", "trajectory"]
+    assert seen["phase_config"] == ["cli", "phase", "trajectory"]
+    assert seen["resolves"]
+    seen = _modules_run("run", run, tmp_path / "out")
+    assert (tmp_path / "out" / "summary.json").is_file()
+    assert not {"acceptance", "evolving", "multiqubit", "phase"} & set(seen["run"])

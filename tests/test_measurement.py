@@ -226,6 +226,23 @@ def test_measure_and_uncollapse_restores(rng):
     assert worst <= 1e-9
 
 
+def test_unitary_part_matches_polar_route(rng):
+    # U_m = M L / |C| from the reversal operator, against the SVD of M
+    for dim in range(2, 9):
+        for _ in range(5):
+            op = random_invertible_kraus(rng, dim)
+            u_m = qm._unitary_part(op, qm.build_uncollapse(op))
+            assert max_abs(u_m - qm.polar_decompose(op).unitary) <= 1e-12
+
+
+def test_measure_and_uncollapse_decomposes_once(rng, linalg_calls):
+    op = random_invertible_kraus(rng)
+    state = qm.random_pure_state(2, rng)
+    linalg_calls.update(dict.fromkeys(linalg_calls, 0))
+    qm.measure_and_uncollapse(op, state)
+    assert (linalg_calls["eigh"], linalg_calls["svd"]) == (1, 0)
+
+
 def test_quantum_state_validation():
     with pytest.raises(ValueError):
         qm.QuantumState(rho=np.diag([0.7, 0.7]))
