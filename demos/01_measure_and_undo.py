@@ -14,7 +14,7 @@ from uncollapse import measurement as qm
 rng = np.random.default_rng(7)
 
 # a partial measurement: strong on |2>, gentle on |1>
-op = qm.KrausOperator(np.diag([1.0, np.sqrt(0.3)]), label="gentle")
+op = qm.KrausOperator(np.diag([1.0, np.sqrt(0.3)]))
 print("POVM element E = M†M:", np.diag(op.povm_element()).real)
 print("joint success |C|^2 = min eig E =", qm.joint_success_probability(op))
 print()
@@ -49,6 +49,6 @@ print("prior weights     :", prior.weights)
 print("after measure+undo:", posterior.weights)
 
 # how irreversible was the full POVM?
-other = qm.KrausOperator(np.sqrt(np.eye(2) - op.povm_element()), label="partner")
+other = qm.KrausOperator(np.sqrt(np.eye(2) - op.povm_element()))
 povm = qm.PovmSet(operators=(op, other))
 print("irreversibility of the pair:", qm.irreversibility_measure(povm))

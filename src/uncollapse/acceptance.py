@@ -10,10 +10,7 @@ any worker count.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -61,7 +58,8 @@ from .phase import (
     protocol_ensemble,
     success_probability as phase_success_probability,
 )
-from .stats import Row, bernoulli_estimate, interval_row, ks_distance, mean_row, tolerance_row
+from .stats import ROW_HEADER, Row, bernoulli_estimate, csv_text, interval_row, json_text
+from .stats import ks_distance, mean_row, tolerance_row
 from .trajectory import (
     BLOCK_SIZE,
     NoiseStream,
@@ -467,7 +465,7 @@ def run_criteria(
     indices: tuple[int, ...] | None = None,
 ) -> list[CriterionResult]:
     """Run statistical criteria 1-9 (determinism is criterion 10, below)."""
-    chosen = sorted(indices) if indices else sorted(_CRITERIA)
+    chosen = sorted(_CRITERIA) if indices is None else sorted(set(indices))
     results = []
     for idx in chosen:
         t0 = time.perf_counter()
@@ -478,23 +476,18 @@ def run_criteria(
 
 
 def render_acceptance_json(results: list[CriterionResult], seed: int, scale: float) -> str:
-    payload = {
+    return json_text({
         "version": __version__,
         "seed": seed,
         "scale": scale,
         "passed": all(r.passed for r in results),
         "criteria": [r.as_record() for r in results],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def render_acceptance_csv(results: list[CriterionResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["criterion", "name", "label", "value", "ci_low", "ci_high", "reference", "within"])
-    for r in results:
-        writer.writerows([r.index, r.name, *row.csv_cells()] for row in r.rows)
-    return buf.getvalue()
+    header = ("criterion", "name", *ROW_HEADER)
+    return csv_text(header, ([r.index, r.name, *row.csv_cells()] for r in results for row in r.rows))
 
 
 def criterion_10(seed: int, scale: float, workers: int) -> CriterionResult:
@@ -527,7 +520,7 @@ def run_acceptance(
     indices: tuple[int, ...] | None = None,
 ) -> list[CriterionResult]:
     """Run the full acceptance suite (criteria 1-10)."""
-    wanted = sorted(indices) if indices else list(range(1, 11))
+    wanted = list(range(1, 11)) if indices is None else sorted(set(indices))
     results = run_criteria(seed, scale, workers, tuple(i for i in wanted if i in _CRITERIA))
     if 10 in wanted:
         results.append(criterion_10(seed, scale, workers))

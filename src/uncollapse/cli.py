@@ -12,9 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -112,31 +110,30 @@ def _pair(z):
     raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {z!r}")
 
 
-_FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
 _NUMBER = (int, float)
-# the JSON values each numeric field accepts; bool never counts as a number
-_NUMBER_TYPES = {
-    "seed": int, "trajectories": int, "workers": int, "n_qubits": int, "tau_grid_points": int,
-    "d_tau": _NUMBER, "tau_max": (*_NUMBER, type(None)), "escape_radius": (*_NUMBER, type(None)),
-    "r0": _NUMBER, "duration_tau": _NUMBER, "epsilon": _NUMBER, "coupling": _NUMBER,
-    "p_t": _NUMBER, "phi": _NUMBER, "gamma": _NUMBER,
+# the JSON values each field annotation accepts, and their name in errors;
+# bool never counts as a number
+_ACCEPTS = {
+    "int": (int, "an integer"),
+    "float": (_NUMBER, "a number"),
+    "float | None": ((*_NUMBER, type(None)), "a number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string"),
+    "tuple": (tuple, "a list"),
+    "dict": (dict, "an object"),
+    "object": (object, "any value"),
 }
-# sweepable fields and the cast of their values; int fields take integers only
-_SWEEPABLE = {
-    "r0": float,
-    "duration_tau": float,
-    "p_t": float,
-    "phi": float,
-    "gamma": float,
-    "d_tau": float,
-    "n_qubits": int,
-    "trajectories": int,
-}
-
-_STRING_FIELDS = ("kind", "out", "format", "sweep_parameter")
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_SWEEPABLE = ("r0", "duration_tau", "p_t", "phi", "gamma", "d_tau", "n_qubits", "trajectories")
+_ENV_FIELDS = ("seed", "workers", "out", "format")
 
 # untrusted sizes are bounded at config load, before anything is allocated
 _SIZE_BOUNDS = {"trajectories": (1, 10**9), "tau_grid_points": (1, 1_000_000)}
+
+
+def _cast(name: str):
+    """The cast of a sweep value or an environment string to the field's type."""
+    return {"int": int, "str": str}.get(_TYPES[name], float)
 
 
 def _check_size(name: str, value: int) -> None:
@@ -145,29 +142,22 @@ def _check_size(name: str, value: int) -> None:
         raise ConfigError(f"{name} must be between {low} and {high}, got {value}")
 
 
-def _check_number(name: str, value, allowed) -> None:
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"{name} must be {'an integer' if allowed is int else 'a number'}, got {value!r}")
+def _check_value(name: str, value, annotation: str) -> None:
+    allowed, what = _ACCEPTS[annotation]
+    if not isinstance(value, allowed) or (isinstance(value, bool) and allowed is not object):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _check_types(cfg: ExperimentConfig) -> None:
-    for name, allowed in _NUMBER_TYPES.items():
-        _check_number(name, getattr(cfg, name), allowed)
-    for name in _STRING_FIELDS:
-        value = getattr(cfg, name)
-        if not isinstance(value, str) and not (name == "sweep_parameter" and value is None):
-            raise ConfigError(f"{name} must be a string, got {value!r}")
-    for name in ("r0_grid", "sweep_values"):
-        if not isinstance(getattr(cfg, name), tuple):
-            raise ConfigError(f"{name} must be a list, got {getattr(cfg, name)!r}")
+    for name, annotation in _TYPES.items():
+        _check_value(name, getattr(cfg, name), annotation)
     for k, value in enumerate(cfg.r0_grid):
-        _check_number(f"r0_grid[{k}]", value, _NUMBER)
+        _check_value(f"r0_grid[{k}]", value, "float")
     if cfg.sweep_parameter in _SWEEPABLE:
-        allowed = int if _SWEEPABLE[cfg.sweep_parameter] is int else _NUMBER
         for k, value in enumerate(cfg.sweep_values):
-            _check_number(f"sweep_values[{k}]", value, allowed)
+            _check_value(f"sweep_values[{k}]", value, _TYPES[cfg.sweep_parameter])
             if cfg.sweep_parameter in _SIZE_BOUNDS:
                 _check_size(cfg.sweep_parameter, value)
 
@@ -175,15 +165,13 @@ def _check_types(cfg: ExperimentConfig) -> None:
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    unknown = set(data) - set(_FIELD_TYPES)
+    unknown = set(data) - set(_TYPES)
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-    coerced = {}
-    for key, value in data.items():
-        if key in ("r0_grid", "sweep_values") and isinstance(value, list):
-            value = tuple(value)
-        coerced[key] = value
-    cfg = ExperimentConfig(**coerced)
+    cfg = ExperimentConfig(**{
+        key: tuple(value) if _TYPES[key] == "tuple" and isinstance(value, list) else value
+        for key, value in data.items()
+    })
     _check_types(cfg)
     if cfg.kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {cfg.kind!r}")
@@ -213,7 +201,10 @@ def _check_point(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.kind == "multiqubit":
-        _check_multiqubit(cfg)
+        if not cfg.gamma > 0.0:
+            raise ConfigError("gamma must be positive")
+        if not 1 <= cfg.n_qubits <= 6:
+            raise ConfigError("n_qubits must be between 1 and 6")
     elif cfg.kind == "phase":
         try:
             phase.PhaseMeasurementParams(p_t=cfg.p_t, phi=cfg.phi)
@@ -227,7 +218,7 @@ def _check_point(cfg: ExperimentConfig) -> None:
 
 def _sweep_points(cfg: ExperimentConfig):
     """Each sweep value with the plain configuration that runs it."""
-    cast = _SWEEPABLE[cfg.sweep_parameter]
+    cast = _cast(cfg.sweep_parameter)
     for index, raw in enumerate(cfg.sweep_values):
         yield raw, replace(
             cfg,
@@ -247,17 +238,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    env_map = {
-        "seed": int,
-        "workers": int,
-        "out": str,
-        "format": str,
-    }
-    for name, cast in env_map.items():
+    for name in _ENV_FIELDS:
         raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is not None:
             try:
-                data[name] = cast(raw)
+                data[name] = _cast(name)(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad {ENV_PREFIX}{name.upper()}: {raw!r}") from exc
     for name, value in overrides.items():
@@ -336,13 +321,6 @@ def run_phase(cfg: ExperimentConfig) -> list[stats.Row]:
     return rows
 
 
-def _check_multiqubit(cfg: ExperimentConfig) -> None:
-    if not cfg.gamma > 0.0:
-        raise ConfigError("gamma must be positive")
-    if not 1 <= cfg.n_qubits <= 6:
-        raise ConfigError("n_qubits must be between 1 and 6")
-
-
 def run_multiqubit(cfg: ExperimentConfig) -> list[stats.Row]:
     dim = 2**cfg.n_qubits
     rng = trajectory.NoiseStream(cfg.seed, 0).generator()
@@ -365,8 +343,8 @@ def run_multiqubit(cfg: ExperimentConfig) -> list[stats.Row]:
     return rows
 
 
-def run_analytics(cfg: ExperimentConfig) -> tuple[list[stats.Row], list[dict]]:
-    """Plot-ready waiting-time curves plus their moments."""
+def run_analytics(cfg: ExperimentConfig) -> tuple[list[stats.Row], list[tuple]]:
+    """Plot-ready waiting-time curves, as (r0, tau, pdf, cdf) points, plus their moments."""
     rows = []
     curves = []
     for r0 in cfg.r0_grid:
@@ -379,7 +357,7 @@ def run_analytics(cfg: ExperimentConfig) -> tuple[list[stats.Row], list[dict]]:
         pdf = charge.waiting_time_pdf(taus, r0)
         cdf = charge.waiting_time_cdf(taus, r0)
         for t, p, c in zip(taus, pdf, cdf):
-            curves.append({"r0": r0, "tau": float(t), "pdf": float(p), "cdf": float(c)})
+            curves.append((float(r0), float(t), float(p), float(c)))
     return rows, curves
 
 
@@ -387,31 +365,12 @@ def run_analytics(cfg: ExperimentConfig) -> tuple[list[stats.Row], list[dict]]:
 # output plumbing
 
 
-def _rows_csv(rows: list[stats.Row]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "value", "ci_low", "ci_high", "reference", "within"])
-    writer.writerows(r.csv_cells() for r in rows)
-    return buf.getvalue()
-
-
-def _curves_csv(curves: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r0", "tau", "pdf", "cdf"])
-    for c in curves:
-        writer.writerow(
-            [repr(float(c["r0"])), repr(float(c["tau"])), repr(float(c["pdf"])), repr(float(c["cdf"]))]
-        )
-    return buf.getvalue()
-
-
-def _write_outputs(cfg: ExperimentConfig, rows: list[stats.Row], curves: list[dict] | None = None) -> bool:
+def _write_outputs(cfg: ExperimentConfig, rows: list[stats.Row], curves: list[tuple] | None = None) -> bool:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     # a shallow field dict: asdict would deep-copy every value for the same bytes
     echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    (out / "effective_config.json").write_text(json.dumps(echo, indent=2, sort_keys=True, default=list) + "\n")
+    (out / "effective_config.json").write_text(stats.json_text(echo))
     summary = {
         "version": __version__,
         "kind": cfg.kind,
@@ -419,11 +378,11 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[stats.Row], curves: list[di
         "passed": all(r.within for r in rows),
         "rows": [r.as_record() for r in rows],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(stats.json_text(summary))
     if cfg.format == "csv":
-        (out / "results.csv").write_text(_rows_csv(rows))
+        (out / "results.csv").write_text(stats.csv_text(stats.ROW_HEADER, (r.csv_cells() for r in rows)))
     if curves is not None:
-        (out / "curves.csv").write_text(_curves_csv(curves))
+        (out / "curves.csv").write_text(stats.csv_text(("r0", "tau", "pdf", "cdf"), curves))
     return bool(summary["passed"])
 
 
@@ -488,6 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _selftest(cfg: ExperimentConfig, scale: float, criteria: str | None) -> int:
+    # criterion 2's ensemble, the largest, holds about 4.4e5 * scale walkers
+    if not 0.0 < scale <= 1000.0:
+        raise ConfigError(f"--scale must lie in (0, 1000], got {scale!r}")
     indices = None
     if criteria:
         try:
@@ -525,23 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "selftest":
             return _selftest(cfg, args.scale, args.criteria)
-        if args.command == "analytics":
-            rows, curves = run_analytics(cfg)
-            _write_outputs(cfg, rows, curves)
-            return EXIT_OK
-        if args.command == "sweep":
-            rows = run_sweep(cfg)
-            _write_outputs(cfg, rows)
-            return EXIT_OK
-        # run
-        if cfg.kind == "analytics":
-            rows, curves = run_analytics(cfg)
-            _write_outputs(cfg, rows, curves)
-            return EXIT_OK
-        if cfg.kind not in _RUNNERS:
-            raise ConfigError(f"kind {cfg.kind!r} is not runnable directly")
-        rows = _RUNNERS[cfg.kind](cfg)
-        _write_outputs(cfg, rows)
+        if args.command == "analytics" or args.command == "run" and cfg.kind == "analytics":
+            _write_outputs(cfg, *run_analytics(cfg))
+        else:
+            _write_outputs(cfg, run_sweep(cfg) if args.command == "sweep" else _RUNNERS[cfg.kind](cfg))
         return EXIT_OK
     except (
         measurement.ImpossibleOutcomeError,

@@ -11,7 +11,7 @@ that minimum eigenvalue for every input state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class KrausOperator:
     """Measurement operator M for one outcome; E = M†M is its POVM element."""
 
     matrix: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "matrix")
@@ -164,7 +163,6 @@ class UncollapseOperator:
 
     matrix: np.ndarray
     magnitude: float
-    source_element: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         l = as_square_matrix(self.matrix, "matrix")
@@ -276,7 +274,7 @@ def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     inv_sqrt = (eig.vectors * (eig.values ** -0.5)) @ eig.vectors.conj().T
     l = magnitude * inv_sqrt
     l = 0.5 * (l + l.conj().T)
-    return UncollapseOperator(matrix=l, magnitude=magnitude, source_element=element)
+    return UncollapseOperator(matrix=l, magnitude=magnitude)
 
 
 def _unitary_part(op: KrausOperator, unc: UncollapseOperator) -> np.ndarray:
@@ -370,5 +368,5 @@ def measure_and_uncollapse(
     u_m = _unitary_part(op, unc)
     rotated = u_m.conj().T @ rho_m.rho @ u_m
     rotated = QuantumState(rho=0.5 * (rotated + rotated.conj().T), pure=rho_m.pure)
-    after_l, p_success = apply_measurement(KrausOperator(unc.matrix, label="undo"), rotated)
+    after_l, p_success = apply_measurement(KrausOperator(unc.matrix), rotated)
     return QuantumState(rho=after_l.rho, pure=state.pure), p_outcome, p_success

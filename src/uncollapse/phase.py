@@ -41,7 +41,7 @@ def pi_pulse() -> np.ndarray:
 def null_kraus(params: PhaseMeasurementParams) -> measurement.KrausOperator:
     """Measurement operator of the no-tunneling outcome."""
     m = np.diag([1.0, math.sqrt(1.0 - params.p_t) * np.exp(-1j * params.phi)])
-    return measurement.KrausOperator(matrix=m, label="null")
+    return measurement.KrausOperator(matrix=m)
 
 
 def null_povm(params: PhaseMeasurementParams) -> measurement.PovmSet:
@@ -51,7 +51,7 @@ def null_povm(params: PhaseMeasurementParams) -> measurement.PovmSet:
     formal square root of the element diag(0, p_t) kept only for
     completeness bookkeeping; the simulator never applies it to a state.
     """
-    tunneled = measurement.KrausOperator(matrix=np.diag([0.0, math.sqrt(params.p_t)]), label="tunneled")
+    tunneled = measurement.KrausOperator(matrix=np.diag([0.0, math.sqrt(params.p_t)]))
     return measurement.PovmSet(operators=(null_kraus(params), tunneled))
 
 

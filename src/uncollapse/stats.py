@@ -7,6 +7,9 @@ confidence convention throughout the package is the 3-sigma-equivalent
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -77,7 +80,7 @@ class Row:
         }
 
     def csv_cells(self) -> list:
-        """label, value, ci_low, ci_high, reference, within, as written to CSV."""
+        """The ROW_HEADER cells of this row, as written to CSV."""
         return [
             self.label,
             repr(float(self.value)),
@@ -86,6 +89,23 @@ class Row:
             repr(float(self.reference)),
             bool(self.within),
         ]
+
+
+ROW_HEADER = ("label", "value", "ci_low", "ci_high", "reference", "within")
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header line and rows of cells, each line ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    """JSON text with sorted keys, a two-space indent and a closing newline; other iterables become lists."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=list) + "\n"
 
 
 def interval_row(label: str, successes: int, trials: int, reference: float) -> Row:

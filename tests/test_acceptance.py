@@ -57,3 +57,24 @@ def test_criterion_10_starts_a_process_pool(pool_starts):
     result = acceptance.criterion_10(acceptance.DEFAULT_SEED, 1.0, 1)
     assert result.passed
     assert len(pool_starts) >= 1
+
+
+def test_run_acceptance_runs_each_asked_criterion_once(monkeypatch):
+    calls = []
+
+    def stub(index):
+        def run(seed, scale, workers):
+            calls.append(index)
+            return acceptance.CriterionResult(index, f"stub {index}")
+        return run
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", {i: stub(i) for i in range(1, 10)})
+    monkeypatch.setattr(acceptance, "criterion_10", stub(10))
+    results = acceptance.run_acceptance(seed=3, scale=0.001, indices=(10,))
+    assert [r.index for r in results] == [10] and calls == [10]
+    calls.clear()
+    results = acceptance.run_acceptance(seed=3, scale=0.001, indices=(1, 1, 10, 10))
+    assert [r.index for r in results] == [1, 10] and calls == [1, 10]
+    calls.clear()
+    assert [r.index for r in acceptance.run_criteria(indices=(2, 2))] == [2] and calls == [2]
+    assert acceptance.run_criteria(indices=()) == [] and calls == [2]

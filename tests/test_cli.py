@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -320,10 +321,11 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, config):
         ("run", {"kind": ["phase"]}),
         ("run", {"kind": "phase", "out": 5}),
         ("run", {"kind": "phase", "format": None}),
+        ("run", {"kind": "charge-qnd", "detector": 5}),
     ],
     ids=["sweep-nested", "sweep-bool", "sweep-str", "sweep-inf", "sweep-int-2.5", "sweep-scalar",
          "parameter-list", "r0_grid-str", "r0_grid-nan", "r0_grid-scalar", "kind-list", "out-int",
-         "format-null"],
+         "format-null", "detector-number"],
 )
 def test_bad_elements_and_strings_exit_2(tmp_path, capsys, command, config):
     path = tmp_path / "bad.json"
@@ -332,6 +334,54 @@ def test_bad_elements_and_strings_exit_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
+
+
+# wrong JSON values per annotation: a list for scalars, a number for strings,
+# lists and objects, and true for numbers
+_WRONG_VALUES = {
+    "int": ([1], True), "float": ([1.0], True), "float | None": ([1.0], True),
+    "str": (["x"], 5), "str | None": (["x"], 5), "tuple": (5,), "dict": (5,),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(f.name, value) for f in fields(cli.ExperimentConfig) if f.name != "state" for value in _WRONG_VALUES[f.type]],
+    ids=lambda v: json.dumps(v) if not isinstance(v, str) else v,
+)
+def test_every_field_is_type_checked_at_load(tmp_path, capsys, name, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trajectories": 100, "out": str(tmp_path / "o"), name: value}))
+    assert run_cli(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and name in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_field_dict_loads():
+    default = cli.ExperimentConfig()
+    echo = json.loads(json.dumps({f.name: getattr(default, f.name) for f in fields(default)}))
+    assert cli.config_from_dict(echo) == default
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-5", "1e9"])
+def test_selftest_scale_out_of_range_exits_2(tmp_path, capsys, monkeypatch, scale):
+    def refuse(**kwargs):
+        raise AssertionError("the acceptance suite ran")
+
+    monkeypatch.setattr(cli.acceptance, "run_acceptance", refuse)
+    assert run_cli(["selftest", f"--scale={scale}", "--out", str(tmp_path / "st")]) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and "scale" in error["message"]
+    assert not (tmp_path / "st").exists()
+
+
+def test_selftest_scale_bound_is_inclusive(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli.acceptance, "run_acceptance", lambda **kwargs: seen.append(kwargs["scale"]) or [])
+    for scale in ("1e-9", "1000"):
+        assert run_cli(["selftest", f"--scale={scale}", "--out", str(tmp_path / scale)]) == cli.EXIT_OK
+    assert seen == [1e-9, 1000.0]
 
 
 def test_size_bounds_are_inclusive():
