@@ -36,8 +36,6 @@ from .linalg import max_abs
 from .measurement import (
     PriorEnsemble,
     QuantumState,
-    bayes_update,
-    build_uncollapse,
     joint_success_probability,
     measure_and_uncollapse,
     outcome_probability,

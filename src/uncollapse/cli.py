@@ -31,6 +31,7 @@ EXIT_NUMERIC = 3
 EXIT_ACCEPTANCE = 4
 
 EVOLVING_MAX_D_TAU = 1e-3  # charge-evolving integrates at min(d_tau, this)
+EVOLVING_MAX_STEPS = 10**6  # the integrator holds about 200 B per step
 KINDS = ("charge-qnd", "charge-evolving", "charge-total", "phase", "multiqubit", "analytics")
 STATE_PRESETS = {
     "plus": np.array([1.0, 1.0]) / math.sqrt(2.0),
@@ -87,27 +88,40 @@ class ExperimentConfig:
             raise ConfigError(f"detector needs i1, i2, s_i: {exc}") from exc
 
     def initial_state(self) -> measurement.QuantumState:
+        """The state a loaded configuration names; ``_check_state`` has read its shape."""
+        if self.state == "mixed":
+            return measurement.QuantumState.maximally_mixed(2)
         if isinstance(self.state, str):
-            if self.state == "mixed":
-                return measurement.QuantumState.maximally_mixed(2)
-            if self.state in STATE_PRESETS:
-                return measurement.QuantumState.from_ket(STATE_PRESETS[self.state])
-            raise ConfigError(f"unknown state preset {self.state!r}")
-        if isinstance(self.state, dict) and "rho" in self.state:
-            rho = np.array([[complex(*_pair(z)) for z in row] for row in self.state["rho"]])
-            try:
-                return measurement.QuantumState(rho=rho)
-            except ValueError as exc:
-                raise ConfigError(f"invalid explicit state: {exc}") from exc
-        raise ConfigError("state must be a preset name or {'rho': [[...]]}")
+            return measurement.QuantumState.from_ket(STATE_PRESETS[self.state])
+        rho = np.array([[complex(*_pair(z)) for z in row] for row in self.state["rho"]])
+        try:
+            return measurement.QuantumState(rho=rho)
+        except ValueError as exc:
+            raise ConfigError(f"state is not a density matrix: {exc}") from exc
 
 
-def _pair(z):
-    if isinstance(z, (int, float)):
-        return (float(z), 0.0)
-    if isinstance(z, (list, tuple)) and len(z) == 2:
-        return (float(z[0]), float(z[1]))
-    raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {z!r}")
+def _pair(z) -> tuple[float, float]:
+    """A matrix entry, a number or an [re, im] pair, as (re, im)."""
+    parts = z if isinstance(z, list) and len(z) == 2 else (z, 0.0)
+    for x in parts:
+        # the bound also rejects nan, inf and integers past the float range
+        if isinstance(x, bool) or not isinstance(x, _NUMBER) or not abs(x) <= sys.float_info.max:
+            raise ConfigError(f"state matrix entries must be finite numbers or [re, im] pairs, got {z!r}")
+    return float(parts[0]), float(parts[1])
+
+
+def _check_state(state) -> None:
+    """A preset name, or {"rho": [[a, b], [c, d]]} whose entries ``_pair`` reads."""
+    if isinstance(state, str):
+        if state != "mixed" and state not in STATE_PRESETS:
+            raise ConfigError(f"unknown state preset {state!r}")
+        return
+    rho = state.get("rho") if isinstance(state, dict) and state.keys() == {"rho"} else None
+    if not (isinstance(rho, list) and len(rho) == 2 and all(isinstance(row, list) and len(row) == 2 for row in rho)):
+        raise ConfigError(f"state must be a preset name or {{'rho': a 2x2 matrix}}, got {state!r}")
+    for row in rho:
+        for z in row:
+            _pair(z)
 
 
 _NUMBER = (int, float)
@@ -183,6 +197,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("format must be csv or json")
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
+    _check_state(cfg.state)
     _check_point(cfg)
     if cfg.sweep_parameter in _SWEEPABLE:
         # every point is checked before the first one runs
@@ -212,8 +227,12 @@ def _check_point(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(exc)) from exc
     elif cfg.kind in ("charge-total", "charge-evolving") and not cfg.duration_tau > 0.0:
         raise ConfigError("duration_tau must be positive")
-    elif cfg.kind == "charge-evolving" and round(cfg.duration_tau / min(cfg.d_tau, EVOLVING_MAX_D_TAU)) < 1:
-        raise ConfigError("duration_tau is shorter than one integrator step")
+    elif cfg.kind == "charge-evolving":
+        steps = cfg.duration_tau / min(cfg.d_tau, EVOLVING_MAX_D_TAU)
+        if math.isinf(steps) or round(steps) > EVOLVING_MAX_STEPS:
+            raise ConfigError(f"duration_tau needs more than {EVOLVING_MAX_STEPS} integrator steps")
+        if round(steps) < 1:
+            raise ConfigError("duration_tau is shorter than one integrator step")
 
 
 def _sweep_points(cfg: ExperimentConfig):

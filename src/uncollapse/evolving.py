@@ -126,11 +126,6 @@ class PlanExecution:
 
 
 def _normalized_vector(state) -> np.ndarray:
-    if isinstance(state, QuantumState):
-        if not state.pure:
-            raise ValueError("plan execution works on pure states; purify mixtures first")
-        eig = np.linalg.eigh(state.rho)
-        return np.asarray(eig.eigenvectors[:, -1], dtype=complex)
     psi = np.asarray(state, dtype=complex).reshape(2)
     return psi / np.linalg.norm(psi)
 
@@ -185,7 +180,6 @@ def plan_execution_ensemble(
     config: TrajectoryConfig,
     seed: int,
     *,
-    stream_offset: int = 0,
     workers: int = 1,
 ) -> int:
     """Number of successful plan executions out of n independent attempts."""
@@ -194,9 +188,7 @@ def plan_execution_ensemble(
     if plan.target_r == 0.0:
         return n
     p1 = abs(phi[0]) ** 2
-    return targeted_ensemble(
-        p1, plan.target_r, n, config, seed, stream_offset=stream_offset, workers=workers
-    )
+    return targeted_ensemble(p1, plan.target_r, n, config, seed, workers=workers)
 
 
 def success_bound(extraction: KrausExtraction, state: QuantumState) -> float:
@@ -219,14 +211,6 @@ def success_bound(extraction: KrausExtraction, state: QuantumState) -> float:
     if denom <= 0.0:
         raise ValueError("record probability vanished; state orthogonal to the record image")
     return min(1.0, extraction.lambda_minus / denom)
-
-
-@dataclass(frozen=True)
-class TwoStepResult:
-    success: bool
-    restored: np.ndarray | None
-    first_target: float
-    second_target: float
 
 
 def _stretch(target: float) -> np.ndarray:
@@ -301,7 +285,6 @@ def two_step_ensemble(
     config: TrajectoryConfig,
     seed: int,
     *,
-    stream_offset: int = 0,
     workers: int = 1,
 ) -> int:
     """Successes of the two-readout variant out of n attempts.
@@ -313,15 +296,12 @@ def two_step_ensemble(
     first_target, second_target, stage_populations = two_step_targets(extraction, c)
     phi = _normalized_vector(state_m)
     p1_first, p1_second = stage_populations(phi)
-    survivors = targeted_ensemble(
-        p1_first, first_target, n, config, seed, stream_offset=stream_offset, workers=workers
-    )
+    survivors = targeted_ensemble(p1_first, first_target, n, config, seed, workers=workers)
     if survivors == 0 or second_target == 0.0:
         return survivors
     # the second stage starts at the first stream the first one left unused
     return targeted_ensemble(
-        p1_second, second_target, survivors, config, seed,
-        stream_offset=stream_offset + _block_count(n), workers=workers,
+        p1_second, second_target, survivors, config, seed, stream_offset=_block_count(n), workers=workers
     )
 
 
@@ -331,43 +311,3 @@ def _rotation_onto_e1(u: np.ndarray) -> np.ndarray:
     perp = np.array([-u[1].conjugate(), u[0].conjugate()], dtype=complex)
     return np.array([u.conjugate(), perp.conjugate()])
 
-
-def two_step_uncollapse(
-    extraction: KrausExtraction,
-    state_m,
-    c: float,
-    config: TrajectoryConfig,
-    stream,
-) -> TwoStepResult:
-    """Non-optimal reversal using two stopped readouts instead of one.
-
-    The first readout stretches the axis u = v1 + c v2 g/|g| (g = <v2|v1>)
-    until the two basis images become orthogonal; the second equalizes
-    their norms (see ``_two_step_geometry``).  Both stops must succeed.
-    The restored state is still exact, but the success probability is
-    below the optimal bound except at one specific axis.
-    """
-    rot1, first_target, rot2, second_target = _two_step_geometry(extraction, c)
-    gen = _as_generator(stream)
-    phi = _normalized_vector(state_m)
-    if rot1 is not None:
-        phi = rot1 @ phi
-        p1 = abs(phi[0]) ** 2
-        bit = 1 if gen.random() < p1 else 2
-        hit, _ = targeted_measurement(bit, first_target, config, gen)
-        if not hit:
-            return TwoStepResult(False, None, first_target, math.nan)
-        phi = _stretch(first_target) @ phi
-        phi /= np.linalg.norm(phi)
-
-    phi = rot2 @ phi
-    phi /= np.linalg.norm(phi)
-    if second_target != 0.0:
-        p1 = abs(phi[0]) ** 2
-        bit = 1 if gen.random() < p1 else 2
-        hit, _ = targeted_measurement(bit, second_target, config, gen)
-        if not hit:
-            return TwoStepResult(False, None, first_target, second_target)
-        phi = _stretch(second_target) @ phi
-        phi /= np.linalg.norm(phi)
-    return TwoStepResult(True, phi, first_target, second_target)

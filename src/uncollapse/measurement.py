@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermEig, as_square_matrix, herm_eig, max_abs, svd
+from .linalg import as_square_matrix, herm_eig, max_abs, svd
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -149,9 +149,6 @@ class PovmSet:
     def __iter__(self):
         return iter(self.operators)
 
-    def __len__(self) -> int:
-        return len(self.operators)
-
 
 @dataclass(frozen=True)
 class UncollapseOperator:
@@ -244,18 +241,6 @@ def polar_decompose(op: KrausOperator) -> PolarDecomposition:
     return PolarDecomposition(unitary=unitary, sqrt_element=sqrt_element, null_completed=null_completed)
 
 
-def _restricted_minimum(eig: HermEig, support: np.ndarray | None, element: np.ndarray) -> float:
-    """Smallest expectation of the POVM element over the (sub)space."""
-    if support is None:
-        return float(eig.values[0])
-    basis = np.asarray(support, dtype=complex)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    q, _ = np.linalg.qr(basis)
-    compressed = q.conj().T @ element @ q
-    return float(np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))[0])
-
-
 def build_uncollapse(op: KrausOperator) -> UncollapseOperator:
     """Optimal reversal operator for the outcome M, with |C| = sqrt(min eig M†M).
 
@@ -282,18 +267,11 @@ def _unitary_part(op: KrausOperator, unc: UncollapseOperator) -> np.ndarray:
     return op.matrix @ unc.matrix / unc.magnitude
 
 
-def success_probability_bound(
-    op: KrausOperator, state: QuantumState, support: np.ndarray | None = None
-) -> float:
-    """Upper bound min_psi P_m / P_m(rho) on the undo success probability.
-
-    ``support`` optionally restricts the minimization to a known subspace
-    (columns spanning it); the default minimizes over the full space.
-    """
+def success_probability_bound(op: KrausOperator, state: QuantumState) -> float:
+    """Upper bound min_psi P_m / P_m(rho) on the undo success probability."""
     _check_dims(op, state)
     element = op.povm_element()
-    eig = herm_eig(element)
-    numerator = _restricted_minimum(eig, support, element)
+    numerator = float(herm_eig(element).values[0])
     denominator = float(np.trace(element @ state.rho).real)
     if denominator <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError("outcome probability is zero on this state")

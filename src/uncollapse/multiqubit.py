@@ -91,11 +91,6 @@ def build_plan(op: KrausOperator | np.ndarray, gamma: float) -> StepPlan:
     )
 
 
-def uncollapse_operator(plan: StepPlan) -> np.ndarray:
-    """Product of all rotate-measure-rotate factors: the plan's net operator B diag(s) B†."""
-    return (plan.basis * plan.shrink_factors) @ plan.basis.conj().T
-
-
 def _in_eigenbasis(plan: StepPlan, state) -> tuple[np.ndarray, np.ndarray]:
     """The post-measurement state mapped by T = B†U_m†, Tψ normalized or TρT†/Tr, and its populations."""
     cur = state.rho if isinstance(state, QuantumState) else np.asarray(state, dtype=complex).reshape(-1)

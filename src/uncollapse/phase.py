@@ -44,17 +44,6 @@ def null_kraus(params: PhaseMeasurementParams) -> measurement.KrausOperator:
     return measurement.KrausOperator(matrix=m)
 
 
-def null_povm(params: PhaseMeasurementParams) -> measurement.PovmSet:
-    """Two-outcome set {no tunneling, tunneling}.
-
-    The tunneling branch destroys the qubit, so its operator here is a
-    formal square root of the element diag(0, p_t) kept only for
-    completeness bookkeeping; the simulator never applies it to a state.
-    """
-    tunneled = measurement.KrausOperator(matrix=np.diag([0.0, math.sqrt(params.p_t)]))
-    return measurement.PovmSet(operators=(null_kraus(params), tunneled))
-
-
 def null_update(state: measurement.QuantumState, params: PhaseMeasurementParams) -> measurement.QuantumState:
     """State after a no-tunneling round.
 
@@ -114,16 +103,6 @@ def uncollapse_protocol(
     )
 
 
-def protocol_operator(params: PhaseMeasurementParams) -> np.ndarray:
-    """Net operator of pulse-measure(null)-pulse acting after a null round.
-
-    Composed with the first null operator it is proportional to the
-    identity, which is the operational form of the reversal.
-    """
-    pulse = pi_pulse()
-    return pulse @ null_kraus(params).matrix @ pulse
-
-
 def success_probability(state_in: measurement.QuantumState, params: PhaseMeasurementParams) -> float:
     """Chance the reversal round is tunnel-free, for a given initial state.
 
@@ -147,8 +126,7 @@ def joint_success(params: PhaseMeasurementParams) -> float:
 
 
 def protocol_ensemble(
-    state_in: measurement.QuantumState, params: PhaseMeasurementParams, n: int, seed: int, *,
-    stream_offset: int = 0,
+    state_in: measurement.QuantumState, params: PhaseMeasurementParams, n: int, seed: int
 ) -> tuple[int, int]:
     """Many full runs from a fresh initial state: measure, then try to undo.
 
@@ -163,7 +141,7 @@ def protocol_ensemble(
     pulse = pi_pulse()
     rho_flipped = pulse @ after.rho @ pulse.conj().T
     p_null_2 = 1.0 - params.p_t * float(rho_flipped[1, 1].real)
-    gen = trajectory.NoiseStream(seed, stream_offset).generator()
+    gen = trajectory.NoiseStream(seed, 0).generator()
     first = gen.random(n) < p_null_1
     second = gen.random(n) < p_null_2
     nulls = int(np.count_nonzero(first))

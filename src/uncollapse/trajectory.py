@@ -62,9 +62,6 @@ class NoiseStream:
         key = np.array([self.seed, self.index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, index: int) -> "NoiseStream":
-        return NoiseStream(seed=self.seed, index=index)
-
 
 def _derive(seed: int, *indices: int) -> int:
     """The package's one seed derivation: a 64-bit seed per index path under a master seed."""
@@ -455,10 +452,6 @@ class WaitAndStopEnsemble:
     timed_out: int  # walkers bound to cross that had not by tau_max
 
     @property
-    def success_rate(self) -> float:
-        return self.successes / self.n
-
-    @property
     def residual_success_bound(self) -> float:
         """Success probability forfeited to tau_max: at most 1 per timed-out walker."""
         return float(self.timed_out)
@@ -553,8 +546,7 @@ def _total_uncollapse_block(gen: np.random.Generator, count: int, p2: float, tau
 
 
 def sample_total_uncollapse(
-    state: measurement.QuantumState, tau1: float, n: int, seed: int, *,
-    stream_offset: int = 0, workers: int = 1,
+    state: measurement.QuantumState, tau1: float, n: int, seed: int, *, workers: int = 1
 ) -> int:
     """Successes of measure-for-tau1-then-undo, marginalized over the wait.
 
@@ -569,29 +561,12 @@ def sample_total_uncollapse(
     if n <= 0:
         raise ValueError("n must be positive")
     p2 = float(state.rho[1, 1].real)
-    (hits,) = _ensemble(_total_uncollapse_block, n, seed, stream_offset, workers, p2, tau1)
+    (hits,) = _ensemble(_total_uncollapse_block, n, seed, 0, workers, p2, tau1)
     return int(sum(hits))
 
 
 # ---------------------------------------------------------------------------
 # evolving qubit
-
-
-def detector_current(state, params: charge.DetectorParams, dt: float, stream) -> float:
-    """One sampled detector output: rho11 I1 + rho22 I2 + white noise.
-
-    The noise sample has variance (S_I / 2) / dt, the coarse-grained
-    white-noise variance over an averaging window dt.
-    """
-    gen = _as_generator(stream)
-    if isinstance(state, measurement.QuantumState):
-        p1 = float(state.rho[0, 0].real)
-    else:
-        psi = np.asarray(state, dtype=complex).reshape(-1)
-        norm2 = float(np.vdot(psi, psi).real)
-        p1 = abs(psi[0]) ** 2 / norm2
-    xi = math.sqrt(params.s_i / (2.0 * dt)) * gen.standard_normal()
-    return p1 * params.i1 + (1.0 - p1) * params.i2 + xi
 
 
 @dataclass(frozen=True)

@@ -529,3 +529,101 @@ def test_each_submodule_runs_on_first_use(tmp_path):
     seen = _modules_run("run", run, tmp_path / "out")
     assert (tmp_path / "out" / "summary.json").is_file()
     assert not {"acceptance", "evolving", "multiqubit", "phase"} & set(seen["run"])
+
+
+@pytest.mark.parametrize(
+    "kind, state",
+    [
+        ("charge-qnd", {"rho": 5}),
+        ("charge-total", {"rho": 5}),
+        ("charge-evolving", {"rho": 5}),
+        ("phase", {"rho": 5}),
+        ("charge-total", {"rho": [[1]]}),
+        ("phase", {"rho": [[1]]}),
+        ("charge-qnd", {"rho": [[0.5, 0.0], [0.0]]}),
+        ("charge-qnd", {"rho": [[True, 0.0], [0.0, 0.0]]}),
+        ("multiqubit", {"rho": 5}),
+    ],
+    ids=["rho-5-qnd", "rho-5-total", "rho-5-evolving", "rho-5-phase", "rho-1x1-total", "rho-1x1-phase",
+         "ragged", "true-entry", "rho-5-multiqubit"],
+)
+def test_malformed_state_exits_2_at_load(tmp_path, capsys, kind, state):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind, "trajectories": 100, "state": state}))
+    assert run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and "state" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_evolving_step_bound_checked_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integrator ran")
+
+    monkeypatch.setattr(cli.trajectory, "simulate_evolving_pure", refuse)
+    for command, config in (
+        ("run", {"duration_tau": 1e7}),
+        ("sweep", {"sweep_parameter": "duration_tau", "sweep_values": [1, 1e7]}),
+    ):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({"kind": "charge-evolving", "trajectories": 100, **config}))
+        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / command)]) == cli.EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "config" and "duration_tau" in error["message"]
+        assert not (tmp_path / command).exists()
+    # 1e6 steps at the integrator's d_tau of 1e-3 is the last duration allowed;
+    # 1e10 / 1e-300 steps overflow to an infinite count
+    assert cli.config_from_dict({"kind": "charge-evolving", "duration_tau": 1000.0}).duration_tau == 1000.0
+    for config in ({"duration_tau": 1000.001}, {"duration_tau": 1e10, "d_tau": 1e-300}):
+        with pytest.raises(cli.ConfigError, match="duration_tau"):
+            cli.config_from_dict({"kind": "charge-evolving", **config})
+
+
+# values that break each field's JSON type, sign or scale
+_PROBE_VALUES = (None, True, "x", [1], {"a": 1}, 0, -1, 1e-300, -1e-300, 1e300, -1e300, float("nan"))
+_PROBE_EXTRA = {
+    "state": (
+        "nope", "mixed", {"rho": 5}, {"rho": [[1]]}, {"rho": [[0.5, 0], [0]]}, {"rho": [[True, 0], [0, 0]]},
+        {"rho": [[0.5, [0, 1, 2]], [0, 0.5]]}, {"rho": [[2, 0], [0, -1]]}, {"rho": [[0.5, 0], [0, 0.5]], "x": 1},
+        {"rho": [[10**400, 0], [0, 0]]}, {"rho": [[0.5, [0, 1e-300]], [[0, -1e-300], 0.5]]},
+    ),
+    "detector": (
+        {}, {"i1": 1, "i2": 1, "s_i": 0.04}, {"i1": "a", "i2": 0.9, "s_i": 0.04}, {"i1": 1.1, "i2": 0.9, "s_i": 0},
+        {"i1": 1e300, "i2": -1e300, "s_i": 1e-300}, {"i1": None, "i2": 0.9, "s_i": 0.04},
+    ),
+    "r0_grid": ([], [0], [-1], [1e300], [1e-300], [[1]], ["x"]),
+    "sweep_values": ([], [[1]], "x", [None]),
+}
+
+
+def _probe_configs():
+    names = [f.name for f in fields(cli.ExperimentConfig) if f.name not in ("kind", "out")]
+    for kind in cli.KINDS:
+        for name in names:
+            for value in (*_PROBE_VALUES, *_PROBE_EXTRA.get(name, ())):
+                # a long evolving record is bounded by its own test; here it would only cost time
+                if kind == "charge-evolving" and name == "duration_tau" and value == 1e300:
+                    continue
+                yield "run", {"kind": kind, name: value}
+        if kind != "analytics":
+            for name in cli._SWEEPABLE:
+                for value in _PROBE_VALUES:
+                    if not (kind == "charge-evolving" and name == "duration_tau" and value == 1e300):
+                        yield "sweep", {"kind": kind, "sweep_parameter": name, "sweep_values": [value]}
+
+
+def test_every_generated_config_keeps_the_exit_contract(tmp_path, capsys):
+    # the CLI contract: 0, or 2, 3 or 4 with a JSON error line, never a traceback
+    out = str(tmp_path / "o")
+    breaches = []
+    for command, config in _probe_configs():
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trajectories": 20, "tau_grid_points": 5, "out": out, **config}))
+        try:
+            code = run_cli([command, "--config", str(path)])
+        except Exception as exc:  # noqa: BLE001  (any escape is the breach being probed)
+            code = type(exc).__name__
+        if code not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_ACCEPTANCE):
+            breaches.append((command, config, code))
+        capsys.readouterr()
+    assert breaches == []

@@ -114,15 +114,6 @@ def test_success_probability_bound_saturates_at_minimizing_state(rng):
     assert qm.success_probability_bound(op, state) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_success_probability_bound_known_subspace(rng):
-    # a state known exactly can always be restored
-    op = random_invertible_kraus(rng)
-    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    state = qm.QuantumState.from_ket(psi)
-    vec = np.linalg.eigh(state.rho).eigenvectors[:, -1]
-    assert qm.success_probability_bound(op, state, support=vec) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_joint_success_probability_examples(rng):
     assert qm.joint_success_probability(qm.KrausOperator(random_unitary(rng, 2))) == pytest.approx(1.0)
     assert qm.joint_success_probability(qm.KrausOperator(np.diag([1.0, math.sqrt(0.5)]))) == pytest.approx(0.5)

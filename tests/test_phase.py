@@ -20,16 +20,6 @@ def diag_state(p1):
     return qm.QuantumState(rho=np.diag([p1, 1.0 - p1]).astype(complex))
 
 
-def test_null_povm_elements():
-    params = phase.PhaseMeasurementParams(p_t=0.5)
-    povm = phase.null_povm(params)
-    assert np.allclose(np.diag(povm.operators[0].povm_element()).real, [1.0, 0.5])
-    assert np.allclose(np.diag(povm.operators[1].povm_element()).real, [0.0, 0.5])
-    trivial = phase.null_povm(phase.PhaseMeasurementParams(p_t=0.0))
-    assert max_abs(trivial.operators[0].matrix - np.eye(2)) == 0.0
-    assert np.linalg.eigvalsh(povm.operators[0].povm_element())[0] == pytest.approx(0.5)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         phase.PhaseMeasurementParams(p_t=1.0)
@@ -89,7 +79,9 @@ def test_protocol_restores_exactly_any_phase(rng):
 
 def test_protocol_operator_proportional_to_identity():
     params = phase.PhaseMeasurementParams(p_t=0.37, phi=0.9)
-    net = phase.protocol_operator(params) @ phase.null_kraus(params).matrix
+    pulse = phase.pi_pulse()
+    m = phase.null_kraus(params).matrix
+    net = pulse @ m @ pulse @ m
     assert max_abs(net / net[0, 0] - np.eye(2)) <= 1e-12
 
 

@@ -325,16 +325,6 @@ def test_targeted_measurement_hits_when_drift_points_at_target():
     assert est.contains(math.exp(-1.6))
 
 
-def test_detector_current_statistics():
-    dt = 0.01
-    gen = tj.NoiseStream(5, 0).generator()
-    state = diag_state(1.0)
-    samples = np.array([tj.detector_current(state, PARAMS, dt, gen) for _ in range(4000)])
-    sigma = math.sqrt(PARAMS.s_i / (2.0 * dt))
-    assert abs(samples.mean() - PARAMS.i1) <= 3.0 * sigma / math.sqrt(samples.size)
-    assert abs(samples.var(ddof=1) - sigma**2) <= 3.0 * sigma**2 * math.sqrt(2.0 / samples.size)
-
-
 def test_evolving_qnd_limit_matches_closed_form():
     cfg = tj.TrajectoryConfig(d_tau=1e-3)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
