@@ -216,12 +216,13 @@ def waiting_time_pdf(t, r0: float, t_m: float = 1.0):
     if r0 == 0.0:
         out = np.zeros_like(t)
         return out if out.ndim else float(out)
+    a = abs(r0)
     tau = np.where(t > 0.0, t / t_m, 1.0)
-    out = np.where(
-        t > 0.0,
-        abs(r0) / np.sqrt(2.0 * math.pi * tau**3) * np.exp(-((abs(r0) - tau) ** 2) / (2.0 * tau)) / t_m,
-        0.0,
-    )
+    d = a - tau
+    # formed so that no intermediate leaves the float range where the
+    # density does not: tau**3 would overflow past tau ~ 5.6e102
+    density = (a / tau) / np.sqrt(2.0 * math.pi * tau) * np.exp(-(d / tau) * d / 2.0) / t_m
+    out = np.where(t > 0.0, density, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -276,7 +277,8 @@ def waiting_time_cdf(t, r0: float, t_m: float = 1.0):
     first = _normal_cdf((tau - a) / sq)
     # exp(2a) * Phi(-(tau+a)/sqrt(tau)) rewritten via erfcx for stability
     z = (tau + a) / (math.sqrt(2.0) * sq)
-    second = 0.5 * _erfcx(z) * np.exp(-((tau - a) ** 2) / (2.0 * tau))
+    d = a - tau
+    second = 0.5 * _erfcx(z) * np.exp(-(d / tau) * d / 2.0)
     out = np.where(t > 0.0, np.clip(first + second, 0.0, 1.0), 0.0)
     return out if out.ndim else float(out)
 

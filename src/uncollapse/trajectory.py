@@ -6,7 +6,9 @@ counter-based Philox streams addressed by (seed, stream index), so any
 run is reproducible and ensembles can be fanned out deterministically:
 one driver, ``_ensemble``, runs every ensemble in fixed-size blocks,
 block b consuming stream (seed, stream_offset + b), which makes results
-byte-identical for any worker count.
+byte-identical for any worker count.  A stream's Philox key is [seed,
+index] itself, handed to numpy as its own seed sequence, so opening a
+stream reads no OS entropy.
 
 Dimensionless units throughout: time in units of the measurement time
 T_M, so the readout r performs a random walk with diffusion 1/2 and
@@ -28,10 +30,16 @@ Crossing detection uses exact Gaussian increments plus the exact
 Brownian-bridge crossing probability exp(-2 x_a x_b / dtau) inside each
 step, so its first-passage *probabilities* carry no time-step bias at any
 dtau; only its crossing times are quantized at the step scale.
+
+The evolving qubit (``simulate_evolving_pure``) is integrated by one
+scalar loop over a single amplitude ratio, the only sequential part, and
+its realized 2x2 operator is then one pairwise product of the step
+factors, held as four arrays of entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -59,8 +67,40 @@ class NoiseStream:
                 raise ValueError(f"{name} must fit in 64 bits")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """Philox keyed by [seed, index], counter 0."""
+        return np.random.Generator(np.random.Philox(_key_sequence()((self.seed, self.index))))
+
+
+@functools.cache
+def _key_sequence() -> type:
+    """``KeySequence``: a seed sequence whose state is the Philox key itself.
+
+    ``Philox(key=...)`` draws an OS-entropy ``SeedSequence`` only to discard
+    it; handing Philox this sequence instead gives the same stream without
+    that cost.  The class subclasses a ``numpy.random`` class, so it is
+    defined on first use, which keeps ``numpy.random`` out of config loading.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or dtype is not np.uint64:
+                raise ValueError("a key sequence yields its own words as uint64 only")
+            return np.array(self.words, dtype=np.uint64)
+
+    KeySequence.__qualname__ = "KeySequence"  # pickled generators find it through __getattr__
+    return KeySequence
+
+
+def __getattr__(name: str):
+    if name == "KeySequence":
+        return _key_sequence()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _derive(seed: int, *indices: int) -> int:
@@ -593,11 +633,15 @@ def simulate_evolving_pure(
     amplitude decay factors enters; the discarded common factor is the
     tracked rescaling exp(log_scale).
 
-    Only the feedback current is sequential: it needs the two mid-step
-    amplitudes, which a scalar loop carries from step to step with the
-    two half-step unitaries between steps fused into one.  The realized
-    operator M = U_half D_{n-1} U_full ... U_full D_0 U_half is then one
-    pairwise product of the stacked factors, and psi = M psi_in.
+    Only the feedback current is sequential, and it needs only the ratio
+    of the two mid-step populations.  A scalar loop carries one amplitude
+    ratio per step, w = z1/z0 or z0/z1, whichever has |w| <= 1, so nothing
+    overflows and an exactly zero amplitude is no special case: the
+    readout factor scales w by e^{-dr} or e^{+dr}, and the full-step
+    unitary U_full = U_half U_half maps it on as a Moebius map.  The
+    realized operator M = U_half D_{n-1} U_full ... U_full D_0 U_half is
+    then one pairwise product of the factors, held as four arrays of
+    entries, and psi = M psi_in.
     """
     psi = np.asarray(psi_in, dtype=complex).reshape(2)
     if abs(np.vdot(psi, psi).real - 1.0) > 1e-10:
@@ -614,41 +658,56 @@ def simulate_evolving_pure(
     u_full = u_half @ u_half
 
     sigma_xi = math.sqrt(params.s_i / (2.0 * dt))
-    xi = sigma_xi * gen.standard_normal(n_steps)
     gain = params.delta_i / params.s_i * dt
     # dr = base + slope * p1 for a state-1 population p1 at mid-step
-    base = gain * (xi + (params.i2 - params.i0))
+    base = gain * (sigma_xi * gen.standard_normal(n_steps) + (params.i2 - params.i0))
     slope = gain * params.delta_i
 
     (f00, f01), (f10, f11) = u_full.tolist()
-    z0, z1 = (u_half @ psi).tolist()  # mid-step amplitudes of psi
+    # mid-step amplitudes up to a common factor; each step divides them by
+    # the larger one, leaving w with |w| <= 1 and q = |w|^2, and U_full
+    # maps (1, w) or (w, 1) to the next pair
+    z0, z1 = (u_half @ psi).tolist()
+    exp = math.exp
     delta_r = []
     for b in base.tolist():
-        a2 = z0.real * z0.real + z0.imag * z0.imag
-        b2 = z1.real * z1.real + z1.imag * z1.imag
-        norm2 = a2 + b2
-        if not 1e-200 <= norm2 <= 1e200:
-            # only population ratios enter the feedback
-            s = 1.0 / math.sqrt(norm2)
-            z0, z1, a2, b2, norm2 = z0 * s, z1 * s, a2 / norm2, b2 / norm2, 1.0
-        dr = b + slope * a2 / norm2
+        a0, a1 = abs(z0), abs(z1)
         # one corrector pass: re-estimate the mid-step populations with half
         # the readout factor included, keeping the feedback current accurate
         # to second order in the step
-        dr = b + slope * a2 / (a2 + b2 * math.exp(-dr))
+        if a1 > a0:
+            q = a0 / a1
+            q *= q
+            dr = b + slope * q / (q + 1.0)
+            dr = b + slope * q / (q + exp(-dr))
+            w = z0 / z1 * exp(dr)
+            z0, z1 = f00 * w + f01, f10 * w + f11
+        else:
+            q = a1 / a0
+            q *= q
+            dr = b + slope / (1.0 + q)
+            dr = b + slope / (1.0 + q * exp(-dr))
+            w = z1 / z0 * exp(-dr)
+            z0, z1 = f00 + f01 * w, f10 + f11 * w
         delta_r.append(dr)
-        e = math.exp(0.5 * dr)
-        z0, z1 = z0 * e, z1 / e
-        z0, z1 = f00 * z0 + f01 * z1, f10 * z0 + f11 * z1
+    del base
 
     delta_r = np.array(delta_r)
-    half = 0.5 * delta_r
-    stretch = np.stack([np.exp(half), np.exp(-half)], axis=1)[:, None, :]
-    factors = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    factors[0] = u_half
-    factors[1:-1] = u_full * stretch[:-1]  # U_full D_k scales the columns
-    factors[-1] = u_half * stretch[-1]
-    matrix, log_scale = _ordered_product(factors)
+    up, down = np.exp(0.5 * delta_r), np.exp(-0.5 * delta_r)
+    (h00, h01), (h10, h11) = u_half.tolist()
+
+    def entries(h, f, stretch):
+        # one entry of each factor: U_half, U_full D_k for k < n-1, U_half D_{n-1};
+        # a readout factor on the right scales its column by `stretch`
+        e = np.empty(n_steps + 1, dtype=complex)
+        e[0] = h
+        np.multiply(f, stretch[:-1], out=e[1:-1])
+        e[-1] = h * stretch[-1]
+        return e
+
+    matrix, log_scale = _ordered_product(
+        entries(h00, f00, up), entries(h01, f01, down), entries(h10, f10, up), entries(h11, f11, down)
+    )
 
     r_path = np.concatenate([[0.0], np.cumsum(delta_r)])
     record = TrajectoryRecord(
@@ -658,26 +717,30 @@ def simulate_evolving_pure(
     return EvolvingResult(record=record, psi=matrix @ psi, extraction=extraction)
 
 
-def _ordered_product(factors: np.ndarray) -> tuple[np.ndarray, float]:
-    """factors[-1] @ ... @ factors[0] as (matrix, log_scale), multiplied pairwise.
+def _ordered_product(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """F_{n-1} @ ... @ F_0 as (matrix, log_scale), F_k = [[a[k], b[k]], [c[k], d[k]]].
 
-    Each level multiplies neighbouring pairs at once (an odd last factor
-    waits for the next level); a product whose peak leaves [1e-100, 1e100]
-    is divided by it and the log of the peak goes to log_scale.
+    Each level multiplies neighbouring pairs at once, entry by entry (an
+    odd last factor waits for the next level); a product whose peak
+    |entry| leaves [1e-100, 1e100] is divided by it and the log of the
+    peak goes to log_scale.
     """
     log_scale = 0.0
-    while len(factors) > 1:
-        even = len(factors) & ~1
-        paired = factors[1:even:2] @ factors[0:even:2]
-        if even < len(factors):
-            paired = np.concatenate((paired, factors[even:]))
-        peak = np.abs(paired).max(axis=(1, 2))
+    while a.size > 1:
+        even = a.size & ~1
+        a0, b0, c0, d0 = (x[0:even:2] for x in (a, b, c, d))
+        a1, b1, c1, d1 = (x[1:even:2] for x in (a, b, c, d))
+        paired = [a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0]
+        if even < a.size:
+            paired = [np.append(p, x[-1]) for p, x in zip(paired, (a, b, c, d))]
+        a, b, c, d = paired
+        peak = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
         off = (peak > 1e100) | (peak < 1e-100)
         if off.any():
-            paired[off] /= peak[off, None, None]
+            for x in paired:
+                x[off] /= peak[off]
             log_scale += float(np.sum(np.log(peak[off])))
-        factors = paired
-    return factors[0], log_scale
+    return np.array([[a[0], b[0]], [c[0], d[0]]]), log_scale
 
 
 def targeted_measurement(

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,20 @@ def test_waiting_time_cdf_matches_scipy_form():
     for r0 in (0.01, 1.0, 20.0, 400.0):
         t = np.concatenate([r0 * np.linspace(0.02, 3.0, 150), np.logspace(-3, 3, 61)])
         assert np.max(np.abs(charge.waiting_time_cdf(t, r0) - _scipy_waiting_time_cdf(t, r0))) < 1e-12
+
+
+def test_waiting_time_law_stays_in_range_at_huge_readouts():
+    # tau**3 and (r0 - tau)**2 pass the float range from tau near 5.6e102 and
+    # 1.3e154, where the law itself is still representable
+    r0 = 1e300
+    t = np.array([r0 / 3.0, 2.0 * r0 / 3.0, r0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf = charge.waiting_time_pdf(t, r0)
+        cdf = charge.waiting_time_cdf(t, r0)
+    assert pdf[-1] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * r0), rel=1e-12)
+    assert cdf[-1] == pytest.approx(0.5, rel=1e-12)
+    assert np.all(pdf[:-1] == 0.0) and np.all(cdf[:-1] == 0.0)
 
 
 _Z_GRID = np.concatenate([np.linspace(-5.0, 30.0, 3501), np.logspace(np.log10(30.0), 8.0, 10_000)])

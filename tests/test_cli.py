@@ -497,6 +497,7 @@ else:
     seen["sweep_config"] = ran()
     uncollapse.cli.load_config(sys.argv[4], {})
     seen["phase_config"] = ran()
+    seen["numpy_random"] = "numpy.random" in sys.modules
     seen["resolves"] = callable(uncollapse.evolving.plan_from_kraus)
 print(json.dumps(seen))
 """
@@ -525,6 +526,7 @@ def test_each_submodule_runs_on_first_use(tmp_path):
     ]
     assert seen["sweep_config"] == ["cli", "trajectory"]
     assert seen["phase_config"] == ["cli", "phase", "trajectory"]
+    assert seen["numpy_random"] is False  # noise streams load it on their first draw
     assert seen["resolves"]
     seen = _modules_run("run", run, tmp_path / "out")
     assert (tmp_path / "out" / "summary.json").is_file()
@@ -554,6 +556,19 @@ def test_malformed_state_exits_2_at_load(tmp_path, capsys, kind, state):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "config" and "state" in error["message"]
     assert not (tmp_path / "o").exists()
+
+
+def test_evolving_takes_an_explicit_pure_rho(tmp_path, capsys):
+    # purity is read off the matrix: an explicit |1><1| runs as the preset "one"
+    outputs = {}
+    for name, state in (("rho", {"rho": [[1, 0], [0, 0]]}), ("preset", "one"), ("mixed", "mixed")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "charge-evolving", "trajectories": 100, "state": state}))
+        outputs[name] = run_cli(["run", "--config", str(path), "--out", str(tmp_path / name)])
+    assert outputs == {"rho": cli.EXIT_OK, "preset": cli.EXIT_OK, "mixed": cli.EXIT_CONFIG}
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "config", "message": "charge-evolving runs need a pure initial state"}
+    assert (tmp_path / "rho" / "results.csv").read_bytes() == (tmp_path / "preset" / "results.csv").read_bytes()
 
 
 def test_evolving_step_bound_checked_before_any_point_runs(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +22,25 @@ def test_noise_stream_reproducible():
     c = tj.NoiseStream(123, 5).generator().standard_normal(64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)])
+def test_noise_stream_is_philox_keyed_by_seed_and_index(monkeypatch, seed, index):
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+    def refuse(bits):
+        raise AssertionError("drew OS entropy")
+
+    # the key is the whole seed: no OS-entropy seed sequence is drawn and dropped
+    monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+    ours = tj.NoiseStream(seed, index).generator()
+    monkeypatch.undo()
+    assert not isinstance(ours.bit_generator.seed_seq, np.random.SeedSequence)
+    for draw in (lambda g: g.standard_normal(50), lambda g: g.random(50), lambda g: g.wald(1.0, 0.3, 50)):
+        assert np.array_equal(draw(ours), draw(ref))
+    # a generator still pickles, and its copy draws on where it left off
+    copy = pickle.loads(pickle.dumps(ours))
+    assert np.array_equal(copy.random(8), ref.random(8))
 
 
 def test_simulate_qnd_bit_identical_records():
@@ -434,9 +454,10 @@ def test_evolving_rescale_guard():
 
 
 
-def _reference_evolving(psi_in, duration_tau, params, config, gen):
+def _reference_evolving(psi_in, duration_tau, params, config, gen, populations=None):
     """Step loop on the (psi, |1>, |2>) columns, as simulate_evolving_pure ran
-    before the scalar feedback loop; returns (psi, matrix, log_scale, delta_r)."""
+    before the scalar feedback loop; returns (psi, matrix, log_scale, delta_r).
+    Each step's predicted mid-step population of state 1 goes to `populations`."""
     from uncollapse.linalg import u2_exp
 
     psi = np.asarray(psi_in, dtype=complex).reshape(2)
@@ -457,6 +478,8 @@ def _reference_evolving(psi_in, duration_tau, params, config, gen):
         a2 = abs(y[0, 0]) ** 2
         b2 = abs(y[1, 0]) ** 2
         p1 = a2 / (a2 + b2)
+        if populations is not None:
+            populations.append(p1)
         for _ in range(2):
             current = p1 * params.i1 + (1.0 - p1) * params.i2 + xi[k]
             dr = gain * (current - params.i0)
@@ -477,18 +500,28 @@ def _reference_evolving(psi_in, duration_tau, params, config, gen):
 def test_evolving_matches_reference_loop(rng):
     cases = [
         (tj.TrajectoryConfig(d_tau=1e-3, epsilon=float(rng.uniform(-2.0, 2.0)),
-                             coupling=float(rng.uniform(-2.0, 2.0))), 0.6, tj.NoiseStream(64, k))
+                             coupling=float(rng.uniform(-2.0, 2.0))), 0.6, tj.NoiseStream(64, k), None)
         for k in range(12)
     ]
-    cases.append((tj.TrajectoryConfig(d_tau=2e-3, epsilon=0.7, coupling=1.2), 3.0, tj.NoiseStream(65, 0)))
-    cases.append((tj.TrajectoryConfig(d_tau=1e-3), 0.5, tj.NoiseStream(66, 0)))
-    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.4, LoudGen()))
-    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.001, tj.NoiseStream(67, 0)))
-    for cfg, duration, noise in cases:
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi /= np.linalg.norm(psi)
+    cases.append((tj.TrajectoryConfig(d_tau=2e-3, epsilon=0.7, coupling=1.2), 3.0, tj.NoiseStream(65, 0), None))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3), 0.5, tj.NoiseStream(66, 0), None))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.4, LoudGen(), None))
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.001, tj.NoiseStream(67, 0), None))
+    # a basis input starts with one amplitude exactly 0, with the Hamiltonian off and on
+    for k, basis in enumerate((np.array([1.0, 0.0]), np.array([0.0, 1.0]))):
+        cases.append((tj.TrajectoryConfig(d_tau=1e-3), 0.6, tj.NoiseStream(68, k), basis))
+        cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=0.5, coupling=0.9), 0.6, tj.NoiseStream(69, k), basis))
+    # a strong Hamiltonian swings the larger amplitude back and forth
+    strong = tj.NoiseStream(70, 0)
+    cases.append((tj.TrajectoryConfig(d_tau=1e-3, epsilon=3.0, coupling=100.0), 0.6, strong, None))
+    for cfg, duration, noise, psi in cases:
+        if psi is None:
+            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            psi /= np.linalg.norm(psi)
         out = tj.simulate_evolving_pure(psi, duration, PARAMS, cfg, noise)
-        ref_psi, ref_m, ref_log, ref_dr = _reference_evolving(psi, duration, PARAMS, cfg, tj._as_generator(noise))
+        populations = []
+        ref_psi, ref_m, ref_log, ref_dr = _reference_evolving(
+            psi, duration, PARAMS, cfg, tj._as_generator(noise), populations)
         assert np.max(np.abs(out.record.increments - ref_dr)) <= 1e-13
         m = out.extraction.matrix * math.exp(out.extraction.log_scale - ref_log)
         assert np.max(np.abs(m - ref_m)) <= 1e-11 * np.max(np.abs(ref_m))
@@ -498,6 +531,8 @@ def test_evolving_matches_reference_loop(rng):
             assert out.extraction.matrix[0, 1] == 0.0 and out.extraction.matrix[1, 0] == 0.0
         if isinstance(noise, LoudGen):
             assert out.extraction.log_scale > 0.0 and ref_log > 0.0
+        if noise is strong:
+            assert np.count_nonzero(np.diff(np.array(populations) > 0.5)) > 50
 
 
 def test_total_uncollapse_sampler_matches_erf_law():
